@@ -21,6 +21,7 @@ from .expr import (
     evaluate,
     parse,
     to_source,
+    total_derivative,
     variables,
 )
 from .trajectory import (
@@ -37,29 +38,23 @@ from .functional import (
     QuadratureSpec,
     action,
     integrate,
-    partial,
 )
 from .conditions import (
     DEFAULT_FIRST_INTEGRAL_TOL,
     FirstIntegralReport,
-    PsiEvaluation,
     RegionFit,
     ResidualReport,
     SampleGrid,
     SegmentFit,
-    StencilError,
     block_term,
     check_el_differential,
     dbr_first_integral,
     effective_segment,
     el_first_integral,
     el_residual_differential,
-    evaluate_psi,
     psi,
-    psi_identity_residual,
     region_of,
     sample_times,
-    total_derivative,
 )
 from .noether import (
     ConservationReport,

@@ -26,7 +26,6 @@ from .conditions import (
     FirstIntegralReport,
     ResidualReport,
     SampleGrid,
-    StencilError,
     check_el_differential,
     dbr_first_integral,
     el_first_integral,
@@ -34,7 +33,7 @@ from .conditions import (
 from .document import DocumentError, ProblemDocument, load_document
 from .functional import action
 from .noether import ConservationReport, check_conservation, check_invariance
-from .solver import GridSpec, minimize
+from .solver import DEFAULT_GRAD_TOL, GridSpec, minimize
 from .trajectory import PiecewiseTrajectory
 
 
@@ -143,7 +142,7 @@ def _pick_trajectory(args, doc: ProblemDocument) -> PiecewiseTrajectory:
         if args.h is None:
             raise DocumentError("--from-solver needs --h")
         grid = GridSpec.from_step(doc.problem, args.h)
-        grad_tol = doc.tolerances.gradient or 1e-9
+        grad_tol = doc.tolerances.gradient or DEFAULT_GRAD_TOL
         result = minimize(doc.problem, grid, grad_tol=grad_tol)
         if not result.converged:
             raise DocumentError(f"solver did not converge: {result.message}")
@@ -232,7 +231,7 @@ def cmd_minimize(args) -> int:
     doc = _load(args)
     problem = doc.problem
     grid = GridSpec.from_step(problem, args.h)
-    grad_tol = doc.tolerances.gradient or 1e-9
+    grad_tol = doc.tolerances.gradient or DEFAULT_GRAD_TOL
     result = minimize(problem, grid, max_iter=args.max_iter, grad_tol=grad_tol)
     times = grid.node_times(problem)
     payload = {
@@ -333,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_check)
     p_check.add_argument(
-        "--grid", type=int, default=200, metavar="N", help="sample points (default 200)"
+        "--grid", type=int, default=200, metavar="N",
+        help="sample budget, at least one per effective segment (default 200)",
     )
     p_check.add_argument(
         "--mode",
@@ -363,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="all checks plus a classification line")
     add_common(p_report)
     p_report.add_argument(
-        "--grid", type=int, default=200, metavar="N", help="sample points (default 200)"
+        "--grid", type=int, default=200, metavar="N",
+        help="sample budget, at least one per effective segment (default 200)",
     )
     p_report.set_defaults(func=cmd_report)
 
@@ -375,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, StencilError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

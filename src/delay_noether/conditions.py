@@ -8,94 +8,45 @@ they do not).  This module evaluates, along a candidate trajectory:
 * the Euler-Lagrange condition in integral form, where a nested-integral
   quantity must match a polynomial of degree m - 1 (per region, or globally
   across the junction),
-* the DuBois-Reymond first integral, constant per region,
+* the DuBois-Reymond first integral, constant per region.
 
-plus the finite-difference total-derivative machinery shared with the
-invariance/Noether checks.  All derivatives of sampled quantities use
-central stencils confined to one effective segment, so they never straddle
-a kink; sample grids keep a margin away from effective breakpoints for the
-same reason.
+Time derivatives are exact: trajectories are piecewise polynomials and L
+is symbolic, so the total derivatives inside psi^j are expressions
+(``expr.total_derivative``) evaluated one-sided at the sample time, never
+finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .functional import Problem, QuadratureSpec, _leggauss, integrate
-from .trajectory import PiecewiseTrajectory, effective_breakpoints, subsegments
-
-
-class StencilError(RuntimeError):
-    """A finite-difference stencil would cross a breakpoint or the domain."""
-
-
-_FD_MIN_STEP = 1e-5
-_FD_REL_STEP = 1e-3
-_EPS_EXCLUSION = 1e-7  # fraction of t2 - t1 kept clear of breakpoints
-_ABS_MARGIN = 5e-5  # floor for grid margins, covers nested stencil reach
-
-# 5-point central stencils on offsets (-2h, -h, 0, h, 2h); Richardson
-# exponent p is the order of the leading error term.
-_STENCILS: dict[int, tuple[dict[int, float], float, int]] = {
-    1: ({-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}, 12.0, 4),
-    2: ({-2: -1.0, -1: 16.0, 0: -30.0, 1: 16.0, 2: -1.0}, 12.0, 4),
-    3: ({-2: -1.0, -1: 2.0, 1: -2.0, 2: 1.0}, 2.0, 2),
-    4: ({-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}, 1.0, 2),
-}
-
-
-def _stencil_apply(
-    f: Callable[[float], np.ndarray], t: float, h: float, order: int
-) -> np.ndarray:
-    weights, denom, _ = _STENCILS[order]
-    total = None
-    for offset, weight in weights.items():
-        value = weight * np.asarray(f(t + offset * h), dtype=float)
-        total = value if total is None else total + value
-    return total / (denom * h**order)
-
-
-def total_derivative(
-    f: Callable[[float], "np.ndarray | float"],
-    t: float,
-    order: int,
-    interval: tuple[float, float],
-    step: float | None = None,
-) -> np.ndarray:
-    """order-th derivative of f at t by central differences with one
-    Richardson extrapolation step.
-
-    ``interval`` is the segment on which f is smooth; the stencil (reach
-    2h on each side) must fit inside it, otherwise ``StencilError``.
-    Supported orders are 1..4.
-    """
-    if order == 0:
-        return np.asarray(f(t), dtype=float)
-    if order not in _STENCILS:
-        raise StencilError(f"total derivatives of order {order} are not supported")
-    a, b = interval
-    if step is not None:
-        h = step
-    else:
-        h = max(_FD_MIN_STEP, _FD_REL_STEP * (b - a))
-    if t - 2 * h < a or t + 2 * h > b:
-        raise StencilError(
-            f"stencil [{t - 2 * h!r}, {t + 2 * h!r}] leaves segment [{a!r}, {b!r}]"
-        )
-    p = _STENCILS[order][2]
-    coarse = _stencil_apply(f, t, h, order)
-    fine = _stencil_apply(f, t, h / 2.0, order)
-    return (2**p * fine - coarse) / (2**p - 1.0)
+from .expr import evaluate
+# Re-exported: benchmarks/tracing.py wraps conditions.total_derivative by name.
+from .expr import total_derivative  # noqa: F401
+from .functional import (
+    FunctionalError,
+    Problem,
+    QuadratureSpec,
+    _leggauss,
+    integrate,
+)
+from .trajectory import (
+    _SNAP_FRACTION,
+    PiecewiseTrajectory,
+    delayed_args,
+    effective_breakpoints,
+    subsegments,
+)
 
 
 def region_of(problem: Problem, t: float, side: str = "right") -> int:
     """1 on [t1, t2 - tau), 2 on (t2 - tau, t2]; the side picks the limit
     taken exactly at the junction."""
-    snap = 1e-12 * (problem.t2 - problem.t1)
+    snap = _SNAP_FRACTION * (problem.t2 - (problem.t1 - problem.tau))
     if t < problem.junction - snap:
         return 1
     if t > problem.junction + snap:
@@ -111,9 +62,9 @@ def effective_segment(
 ) -> tuple[float, float]:
     """Effective segment of [t1, t2] containing t (one-sided at cuts)."""
     cuts = effective_breakpoints(traj, problem.tau, (problem.t1, problem.t2))
-    snap = 1e-12 * (traj.domain[1] - traj.domain[0])
+    snap = traj.snap
     if t < cuts[0] - snap or t > cuts[-1] + snap:
-        raise StencilError(f"t={t!r} outside [t1, t2]")
+        raise FunctionalError(f"t={t!r} outside [t1, t2]")
     nearest = int(np.argmin(np.abs(cuts - t)))
     if abs(cuts[nearest] - t) <= snap:
         if side == "right":
@@ -157,41 +108,27 @@ def psi(
     of index i + j.  j = 0 gives the pointwise Euler-Lagrange residual;
     j = 1..m are the momentum-like quantities entering the DuBois-Reymond
     and Noether expressions.
+
+    Evaluates the exact expressions ``problem.psi_current[j]`` at args(t)
+    and, in region 1, ``problem.psi_advanced[j]`` at args(t + tau), with
+    derivatives up to order 2m - j taken as the ``side`` limit.
     """
     m = problem.order
     if not 0 <= j <= m:
         raise ValueError(f"j must be in 0..{m}, got {j}")
     if region is None:
         region = region_of(problem, t, side)
-    interval = effective_segment(problem, traj, t, side)
-    total = np.zeros(problem.dim)
-    for i in range(m - j + 1):
-        term = lambda s, k=i + j: block_term(problem, traj, k, s, region, side)
-        if i == 0:
-            value = term(t)
-        else:
-            value = total_derivative(term, t, i, interval)
-        total = total + (-1.0 if i % 2 else 1.0) * value
-    return total
-
-
-@dataclass(frozen=True)
-class PsiEvaluation:
-    j: int
-    region: int
-    t: float
-    value: np.ndarray
-
-
-def evaluate_psi(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    j: int,
-    t: float,
-    side: str = "right",
-) -> PsiEvaluation:
-    region = region_of(problem, t, side)
-    return PsiEvaluation(j, region, t, psi(problem, traj, j, t, region, side))
+    depth = 2 * m - j
+    bindings = delayed_args(traj, t, problem.tau, depth, side).bindings()
+    value = np.array([evaluate(node, bindings) for node in problem.psi_current[j]])
+    if region == 1:
+        bindings = delayed_args(
+            traj, t + problem.tau, problem.tau, depth, side
+        ).bindings()
+        value = value + np.array(
+            [evaluate(node, bindings) for node in problem.psi_advanced[j]]
+        )
+    return value
 
 
 def el_residual_differential(
@@ -205,34 +142,13 @@ def el_residual_differential(
     return psi(problem, traj, 0, t, region, side)
 
 
-def psi_identity_residual(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    j: int,
-    t: float,
-    side: str = "right",
-) -> np.ndarray:
-    """Residual of the recurrence d/dt psi^j = block_term(j-1) - psi^(j-1),
-    which holds along any admissible trajectory (not only extremals)."""
-    m = problem.order
-    if not 1 <= j <= m:
-        raise ValueError(f"j must be in 1..{m}, got {j}")
-    region = region_of(problem, t, side)
-    interval = effective_segment(problem, traj, t, side)
-    lhs = total_derivative(
-        lambda s: psi(problem, traj, j, s, region, side), t, 1, interval
-    )
-    rhs = block_term(problem, traj, j - 1, t, region, side) - psi(
-        problem, traj, j - 1, t, region, side
-    )
-    return lhs - rhs
-
-
 @dataclass(frozen=True)
 class SampleGrid:
-    """Sampling plan: ``points`` samples spread over the effective segments
-    of the window, each kept ``margin`` (fraction of segment length, with
-    absolute floors) away from segment ends."""
+    """Sampling plan: a budget of ``points`` samples apportioned over the
+    effective segments of the window by length, with at least one sample in
+    every segment (so a window with more segments than ``points`` yields
+    more samples), each kept ``margin`` (a fraction of the segment length)
+    away from segment ends."""
 
     points: int = 200
     margin: float = 0.05
@@ -254,11 +170,9 @@ def sample_times(
     problem.check_trajectory(traj)
     grid = grid or SampleGrid()
     lo, hi = window if window is not None else (problem.t1, problem.t2)
-    snap = 1e-12 * (traj.domain[1] - traj.domain[0])
     cuts = effective_breakpoints(traj, problem.tau, (lo, hi))
-    spans = subsegments(cuts, lo, hi, snap)
+    spans = subsegments(cuts, lo, hi, traj.snap)
     total = sum(b - a for a, b in spans)
-    eps = _EPS_EXCLUSION * (problem.t2 - problem.t1)
 
     # Largest-remainder apportionment of the sample budget.
     raw = [grid.points * (b - a) / total for a, b in spans]
@@ -272,11 +186,7 @@ def sample_times(
 
     samples: list[tuple[float, tuple[float, float]]] = []
     for (a, b), count in zip(spans, counts):
-        length = b - a
-        margin = max(grid.margin * length, eps, _ABS_MARGIN)
-        if 2 * margin >= length:
-            samples.append((0.5 * (a + b), (a, b)))
-            continue
+        margin = grid.margin * (b - a)
         for t in np.linspace(a + margin, b - margin, count):
             samples.append((float(t), (a, b)))
     return samples
@@ -421,12 +331,11 @@ def _oriented_nested_integral(
     if hi - lo == 0.0:
         return np.zeros(problem.dim)
     sign = 1.0 if t >= base else (1.0 if k % 2 == 0 else -1.0)
-    snap = 1e-12 * (traj.domain[1] - traj.domain[0])
     cuts = effective_breakpoints(traj, problem.tau, (lo, hi))
     nodes, weights = _leggauss(quad.gauss_points)
     scale = 1.0 / math.factorial(k - 1)
     pieces = []
-    for a, b in subsegments(cuts, lo, hi, snap):
+    for a, b in subsegments(cuts, lo, hi, traj.snap):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         for x, w in zip(nodes, weights):
             s = mid + half * x

@@ -496,11 +496,32 @@ def diff(expr: Expression, var: str) -> Expression:
 # shorthand for ``q{i}_d0`` and rewritten at load time.
 
 _ALIAS_RE = re.compile(r"\Aq(\d+)\Z")
+_COORDINATE_RE = re.compile(r"\Aq(\d+)_d(\d+)(_tau)?\Z")
 
 
 def coordinate_name(index: int, deriv: int = 0, delayed: bool = False) -> str:
     name = f"q{index}_d{deriv}"
     return name + "_tau" if delayed else name
+
+
+def total_derivative(expr: Expression) -> Expression:
+    """Exact derivative of ``expr`` along a trajectory.
+
+    Every ``q{i}_d{k}`` moves at the rate ``q{i}_d{k+1}`` and every
+    ``q{i}_d{k}_tau`` at the rate ``q{i}_d{k+1}_tau``, so
+    D_t f = df/dt + sum of df/dq{i}_d{k}[_tau] * q{i}_d{k+1}[_tau].
+    Names are visited in sorted order, so the tree (and the rounding of its
+    value) does not depend on set iteration order.
+    """
+    result = diff(expr, "t")
+    for name in sorted(variables(expr) - {"t"}):
+        match = _COORDINATE_RE.match(name)
+        if match is None:
+            raise ExpressionError(f"'{name}' does not move along a trajectory")
+        index, deriv, delayed = match.groups()
+        rate = coordinate_name(int(index), int(deriv) + 1, delayed is not None)
+        result = _add(result, _mul(diff(expr, name), Variable(rate)))
+    return result
 
 
 def lagrangian_vocabulary(dim: int, order: int) -> frozenset[str]:

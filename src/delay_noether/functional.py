@@ -54,12 +54,32 @@ class ActionResult:
     warnings: tuple[str, ...] = ()
 
 
+def _fold_momenta(
+    partials: list[list[ex.Expression]],
+) -> list[list[ex.Expression]]:
+    """psi^m = P^m and psi^j = P^j - D_t psi^(j+1), per coordinate, where
+    P^k are the partials in q^(k); this is the alternating sum
+    psi^j = sum_i (-1)^i D_t^i P^(i+j) without repeated differentiation."""
+    folded = [partials[-1]]
+    for block in reversed(partials[:-1]):
+        folded.append(
+            [ex._sub(p, ex.total_derivative(f)) for p, f in zip(block, folded[-1])]
+        )
+    return folded[::-1]
+
+
 class Problem:
-    """Delayed variational problem with cached symbolic Lagrangian partials.
+    """Delayed variational problem with cached symbolic Lagrangian partials
+    and momenta.
 
     ``lagrangian`` and ``prehistory`` are expression trees over the
     canonical vocabulary (t, q{i}_d{k}, q{i}_d{k}_tau); use ``from_sources``
     to build one from strings with alias rewriting and vocabulary checks.
+
+    ``psi_current[j][i]`` is sum_k (-1)^k D_t^k dL/dq{i}^(k+j), the part of
+    the momentum psi^j evaluated at args(t); ``psi_advanced[j][i]`` is the
+    same sum over the partials in q{i}^(k+j)(t - tau), which region 1 adds
+    at args(t + tau).  Both use derivatives up to order 2m - j.
     """
 
     def __init__(
@@ -125,6 +145,8 @@ class Problem:
             ]
             for k in range(order + 1)
         ]
+        self.psi_current = _fold_momenta(self._partial_u)
+        self.psi_advanced = _fold_momenta(self._partial_v)
 
     @classmethod
     def from_sources(
@@ -202,10 +224,6 @@ class Problem:
         return ex.evaluate(self.lagrangian, args.bindings())
 
 
-def partial(problem: Problem, block: int, args: DelayedArgs):
-    return problem.partial(block, args)
-
-
 def integrate(
     problem: Problem,
     traj: PiecewiseTrajectory,
@@ -218,8 +236,7 @@ def integrate(
     problem.check_trajectory(traj)
     quad = quad or QuadratureSpec()
     lo, hi = window if window is not None else (problem.t1, problem.t2)
-    span = traj.domain[1] - traj.domain[0]
-    snap = 1e-12 * span
+    snap = traj.snap
     if lo < problem.t1 - snap or hi > problem.t2 + snap:
         raise FunctionalError(f"window [{lo!r}, {hi!r}] outside [t1, t2]")
     if hi <= lo:
@@ -255,7 +272,7 @@ def action(
     pre_tol = traj.continuity_tol
     worst = 0.0
     for a, b in subsegments(
-        traj.breakpoints, problem.t1 - problem.tau, problem.t1, traj._snap
+        traj.breakpoints, problem.t1 - problem.tau, problem.t1, traj.snap
     ):
         for t in np.linspace(a, b, 9):
             side = "right" if t < b else "left"

@@ -13,7 +13,7 @@ verdict: the charge is only guaranteed constant per region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,21 +23,15 @@ from .conditions import (
     FirstIntegralReport,
     ResidualReport,
     SampleGrid,
-    _ABS_MARGIN,
-    _EPS_EXCLUSION,
-    _FD_MIN_STEP,
-    _FD_REL_STEP,
     DEFAULT_FIRST_INTEGRAL_TOL,
     _analyze_samples,
     block_term,
-    effective_segment,
     psi,
     region_of,
     sample_times,
-    total_derivative,
 )
 from .functional import Problem
-from .trajectory import PiecewiseTrajectory
+from .trajectory import PiecewiseTrajectory, delayed_args
 
 
 class SymmetryError(ValueError):
@@ -51,6 +45,11 @@ class SymmetryCandidate:
     ``eta`` and every component of ``xi`` may use only t and current
     positions q{i}; ``gauge`` may use the full vocabulary of the problem
     it will be checked against.
+
+    Construction derives the exact expressions ``eta_dot`` (D_t eta),
+    ``gauge_dot`` (D_t Phi) and ``rho[i]`` for i = 0..order, the
+    transformed-derivative generators rho^0 = xi and
+    rho^i = D_t rho^(i-1) - q^(i) D_t eta, per coordinate.
     """
 
     eta: ex.Expression
@@ -58,6 +57,11 @@ class SymmetryCandidate:
     gauge: ex.Expression
     dim: int
     order: int
+    eta_dot: ex.Expression = field(init=False, repr=False, compare=False)
+    gauge_dot: ex.Expression = field(init=False, repr=False, compare=False)
+    rho: tuple[tuple[ex.Expression, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.xi) != self.dim:
@@ -69,6 +73,21 @@ class SymmetryCandidate:
         ex.check_vocabulary(
             self.gauge, ex.lagrangian_vocabulary(self.dim, self.order), "gauge"
         )
+        eta_dot = ex.total_derivative(self.eta)
+        rho = [tuple(self.xi)]
+        for i in range(1, self.order + 1):
+            rho.append(
+                tuple(
+                    ex._sub(
+                        ex.total_derivative(previous),
+                        ex._mul(ex.Variable(ex.coordinate_name(c, i)), eta_dot),
+                    )
+                    for c, previous in enumerate(rho[-1])
+                )
+            )
+        object.__setattr__(self, "eta_dot", eta_dot)
+        object.__setattr__(self, "gauge_dot", ex.total_derivative(self.gauge))
+        object.__setattr__(self, "rho", tuple(rho))
 
     @classmethod
     def from_sources(
@@ -96,13 +115,19 @@ class SymmetryCandidate:
 
 
 def _point_bindings(
-    traj: PiecewiseTrajectory, t: float, side: str
+    traj: PiecewiseTrajectory, t: float, side: str, depth: int = 0
 ) -> dict[str, float]:
-    q = traj.eval_derivative(t, 0, side)
+    """t and the current derivatives q^(k)(t), k = 0..depth."""
     bindings = {"t": float(t)}
-    for i in range(traj.dim):
-        bindings[ex.coordinate_name(i)] = float(q[i])
+    for k in range(depth + 1):
+        values = traj.eval_derivative(t, k, side)
+        for i in range(traj.dim):
+            bindings[ex.coordinate_name(i, k)] = float(values[i])
     return bindings
+
+
+def _vector(nodes: Sequence[ex.Expression], bindings: dict[str, float]) -> np.ndarray:
+    return np.array([ex.evaluate(node, bindings) for node in nodes])
 
 
 def eta_value(
@@ -114,34 +139,7 @@ def eta_value(
 def xi_value(
     sym: SymmetryCandidate, traj: PiecewiseTrajectory, t: float, side: str = "right"
 ) -> np.ndarray:
-    bindings = _point_bindings(traj, t, side)
-    return np.array([ex.evaluate(component, bindings) for component in sym.xi])
-
-
-def _adaptive_step(interval: tuple[float, float], t: float) -> float:
-    """FD step for quantities smooth on a whole trajectory segment: the
-    usual max(1e-5, 1e-3 * length), shrunk when t sits close to a segment
-    end so the stencil still fits."""
-    a, b = interval
-    room = min(t - a, b - t)
-    h = max(_FD_MIN_STEP, min(_FD_REL_STEP * (b - a), 0.4 * room))
-    return h
-
-
-def _eta_dot(
-    sym: SymmetryCandidate, traj: PiecewiseTrajectory, t: float, side: str
-) -> float:
-    if not ex.variables(sym.eta):
-        return 0.0
-    interval = traj.segment_interval(t, side)
-    value = total_derivative(
-        lambda s: ex.evaluate(sym.eta, _point_bindings(traj, s, side)),
-        t,
-        1,
-        interval,
-        step=_adaptive_step(interval, t),
-    )
-    return float(value)
+    return _vector(sym.xi, _point_bindings(traj, t, side))
 
 
 def rho(
@@ -153,19 +151,9 @@ def rho(
 ) -> np.ndarray:
     """Transformed-derivative generators: rho^0 = xi(t, q),
     rho^i = d/dt rho^(i-1) - q^(i)(t) * d/dt eta."""
-    if not 0 <= i <= traj.order:
-        raise SymmetryError(f"rho index {i} not in 0..{traj.order}")
-    if i == 0:
-        return xi_value(sym, traj, t, side)
-    interval = traj.segment_interval(t, side)
-    previous = total_derivative(
-        lambda s: rho(sym, traj, i - 1, s, side),
-        t,
-        1,
-        interval,
-        step=_adaptive_step(interval, t),
-    )
-    return previous - traj.eval_derivative(t, i, side) * _eta_dot(sym, traj, t, side)
+    if not 0 <= i <= sym.order:
+        raise SymmetryError(f"rho index {i} not in 0..{sym.order}")
+    return _vector(sym.rho[i], _point_bindings(traj, t, side, i))
 
 
 def _gauge_dot(
@@ -175,17 +163,11 @@ def _gauge_dot(
     t: float,
     side: str,
 ) -> float:
-    if not ex.variables(sym.gauge):
-        return 0.0
-    interval = effective_segment(problem, traj, t, side)
-    value = total_derivative(
-        lambda s: ex.evaluate(sym.gauge, problem.args(traj, s, side).bindings()),
-        t,
-        1,
-        interval,
-        step=_adaptive_step(interval, t),
-    )
-    return float(value)
+    if isinstance(sym.gauge_dot, ex.Constant):
+        return sym.gauge_dot.value
+    # D_t Phi reaches one derivative order above the problem's.
+    args = delayed_args(traj, t, problem.tau, problem.order + 1, side)
+    return ex.evaluate(sym.gauge_dot, args.bindings())
 
 
 def invariance_residual(
@@ -203,15 +185,13 @@ def invariance_residual(
     sym.check_against(problem)
     region = region_of(problem, t, side)
     args = problem.args(traj, t, side)
-    lagrangian = problem.lagrangian_value(args)
-    eta = eta_value(sym, traj, t, side)
-    eta_dot = _eta_dot(sym, traj, t, side)
+    bindings = args.bindings()
     total = -_gauge_dot(problem, traj, sym, t, side)
-    total += problem.partial(1, args) * eta
-    total += lagrangian * eta_dot
+    total += problem.partial(1, args) * ex.evaluate(sym.eta, bindings)
+    total += problem.lagrangian_value(args) * ex.evaluate(sym.eta_dot, bindings)
     for i in range(problem.order + 1):
         coeff = block_term(problem, traj, i, t, region, side)
-        total += float(coeff @ rho(sym, traj, i, t, side))
+        total += float(coeff @ _vector(sym.rho[i], bindings))
     return float(total)
 
 
@@ -227,14 +207,15 @@ def noether_charge(
     sym.check_against(problem)
     region = region_of(problem, t, side)
     args = problem.args(traj, t, side)
-    momenta = [psi(problem, traj, j, t, region, side) for j in range(1, problem.order + 1)]
+    bindings = args.bindings()
     total = 0.0
     kinetic = problem.lagrangian_value(args)
-    for j, momentum in enumerate(momenta, start=1):
-        total += float(momentum @ rho(sym, traj, j - 1, t, side))
+    for j in range(1, problem.order + 1):
+        momentum = psi(problem, traj, j, t, region, side)
+        total += float(momentum @ _vector(sym.rho[j - 1], bindings))
         kinetic -= float(momentum @ args.current[j])
-    total += kinetic * eta_value(sym, traj, t, side)
-    total -= ex.evaluate(sym.gauge, args.bindings())
+    total += kinetic * ex.evaluate(sym.eta, bindings)
+    total -= ex.evaluate(sym.gauge, bindings)
     return total
 
 
@@ -273,20 +254,6 @@ def check_invariance(
     )
 
 
-def _junction_probe(
-    problem: Problem, traj: PiecewiseTrajectory, side: str
-) -> float:
-    """A time just inside the effective segment touching the junction."""
-    junction = problem.junction
-    a, b = effective_segment(problem, traj, junction, side)
-    length = b - a
-    eps = _EPS_EXCLUSION * (problem.t2 - problem.t1)
-    offset = max(0.05 * length, eps, _ABS_MARGIN)
-    if 2 * offset >= length:
-        offset = 0.5 * length
-    return junction - offset if side == "left" else junction + offset
-
-
 def check_conservation(
     problem: Problem,
     traj: PiecewiseTrajectory,
@@ -304,10 +271,6 @@ def check_conservation(
     report = _analyze_samples(
         "noether", "regional", samples, values, [1, 2], 0, tol, problem.junction
     )
-    left = noether_charge(
-        problem, traj, sym, _junction_probe(problem, traj, "left"), "left"
-    )
-    right = noether_charge(
-        problem, traj, sym, _junction_probe(problem, traj, "right"), "right"
-    )
+    left = noether_charge(problem, traj, sym, problem.junction, "left")
+    right = noether_charge(problem, traj, sym, problem.junction, "right")
     return ConservationReport(report, abs(left - right))

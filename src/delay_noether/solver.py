@@ -28,6 +28,7 @@ class SolverError(ValueError):
 
 
 _COMMENSURATE_TOL = 1e-12
+DEFAULT_GRAD_TOL = 1e-9  # stopping tolerance on the gradient's sup-norm
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def minimize(
     grid: GridSpec,
     init: np.ndarray | None = None,
     max_iter: int = 10000,
-    grad_tol: float = 1e-9,
+    grad_tol: float = DEFAULT_GRAD_TOL,
 ) -> SolveResult:
     """Minimize the discrete action over the free interior nodes."""
     if problem.order != 1:

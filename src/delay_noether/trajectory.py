@@ -51,7 +51,8 @@ class PiecewiseTrajectory:
     coefficients : per-interval, per-coordinate coefficient lists
         (``coefficients[j][i][c]`` multiplies ``(t - b_j)**c``).
     order : smoothness class m; the curve must be C^{m-1} at interior
-        breakpoints and k-th derivatives are available for k <= m.
+        breakpoints.  Derivatives of every order k >= 0 are available;
+        those of order >= m may jump at breakpoints.
     degree_cap : maximum polynomial degree (default 5).
     continuity_tol : override for the continuity tolerance, which defaults
         to ``1e-9 * (1 + max |coefficient|)``.
@@ -129,7 +130,8 @@ class PiecewiseTrajectory:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     @property
-    def _snap(self) -> float:
+    def snap(self) -> float:
+        """Distance within which two times count as the same point."""
         return _SNAP_FRACTION * (self.breakpoints[-1] - self.breakpoints[0])
 
     def segment_index(self, t: float, side: str = "right") -> int:
@@ -137,7 +139,7 @@ class PiecewiseTrajectory:
         if side not in ("left", "right"):
             raise TrajectoryError(f"side must be 'left' or 'right', got {side!r}")
         bp = self.breakpoints
-        snap = self._snap
+        snap = self.snap
         if t < bp[0] - snap or t > bp[-1] + snap:
             raise TrajectoryError(f"t={t!r} outside domain [{bp[0]!r}, {bp[-1]!r}]")
         hit = int(np.argmin(np.abs(bp - t)))
@@ -156,11 +158,10 @@ class PiecewiseTrajectory:
         return float(self.breakpoints[j]), float(self.breakpoints[j + 1])
 
     def eval_derivative(self, t: float, k: int = 0, side: str = "right") -> np.ndarray:
-        """k-th derivative vector at t, taking the one-sided limit ``side``."""
-        if not 0 <= k <= self.order:
-            raise TrajectoryError(
-                f"derivative order {k} not available (order is {self.order})"
-            )
+        """k-th derivative vector at t, taking the one-sided limit ``side``;
+        zero for k above the degree of the governing segment."""
+        if k < 0:
+            raise TrajectoryError(f"derivative order {k} is negative")
         j = self.segment_index(t, side)
         return _poly_derivative_value(self.coefficients[j], t - self.breakpoints[j], k)
 
@@ -250,14 +251,15 @@ def delayed_args(
     order: int | None = None,
     side: str = "right",
 ) -> DelayedArgs:
-    """Assemble ``DelayedArgs`` from ``traj`` at time t with delay tau.
+    """Assemble ``DelayedArgs`` from ``traj`` at time t with delay tau,
+    holding derivatives up to ``order`` (default: the trajectory's class).
 
     Both t and t - tau must lie in the trajectory domain; the same one-sided
     limit is used at both times.
     """
     m = traj.order if order is None else order
-    if not 1 <= m <= traj.order:
-        raise TrajectoryError(f"order {m} not supported by trajectory")
+    if m < 1:
+        raise TrajectoryError(f"order {m} is below 1")
     if tau <= 0:
         raise TrajectoryError("tau must be positive")
     current = np.stack([traj.eval_derivative(t, k, side) for k in range(m + 1)])
@@ -283,7 +285,7 @@ def effective_breakpoints(
     if hi <= lo:
         raise TrajectoryError("window must have positive length")
     candidates = np.concatenate([bp, bp + tau, bp - tau])
-    snap = _SNAP_FRACTION * (bp[-1] - bp[0])
+    snap = traj.snap
     candidates = candidates[(candidates >= lo - snap) & (candidates <= hi + snap)]
     candidates = np.clip(np.sort(candidates), lo, hi)
     kept: list[float] = []

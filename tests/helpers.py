@@ -10,7 +10,15 @@ import random
 
 import numpy as np
 
-from delay_noether import PiecewiseTrajectory, Problem, evaluate
+from delay_noether import (
+    PiecewiseTrajectory,
+    Problem,
+    block_term,
+    effective_segment,
+    evaluate,
+    psi,
+    region_of,
+)
 from delay_noether.expr import Binary, Constant, Expression, Unary, Variable
 
 ACCEPTANCE_LINES: list[str] = []
@@ -59,36 +67,65 @@ def random_tree(rng: random.Random, names: list[str], depth: int) -> Expression:
     )
 
 
+# Pseudo-variable naming the direction of the exact total derivative: t
+# moves at rate 1 and each q{i}_d{k}[_tau] at the value bound to its
+# successor q{i}_d{k+1}[_tau].
+TOTAL = "d/dt"
+
+
+def successor(name: str) -> str:
+    """q{i}_d{k}[_tau] -> q{i}_d{k+1}[_tau]."""
+    head, _, rest = name.partition("_d")
+    deriv, _, delayed = rest.partition("_")
+    return f"{head}_d{int(deriv) + 1}" + (f"_{delayed}" if delayed else "")
+
+
+def shifted(bindings: dict, var: str, delta: float) -> dict:
+    """``bindings`` moved by ``delta`` along ``var`` (or along TOTAL)."""
+    if var != TOTAL:
+        return {**bindings, var: bindings[var] + delta}
+    moved = dict(bindings)
+    for name in bindings:
+        if name == "t":
+            moved[name] += delta
+        elif successor(name) in bindings:
+            moved[name] += delta * bindings[successor(name)]
+    return moved
+
+
 def fd_derivative(expr: Expression, var: str, bindings: dict, h: float = 1e-5) -> float:
-    """Richardson-improved central difference, the oracle for symbolic diff."""
-
-    def at(value: float) -> float:
-        shifted = dict(bindings)
-        shifted[var] = value
-        return evaluate(expr, shifted)
-
-    x = bindings[var]
+    """Richardson-improved central difference, the oracle for symbolic diff
+    and, with ``var=TOTAL``, for the total derivative."""
 
     def central(step: float) -> float:
-        return (at(x + step) - at(x - step)) / (2.0 * step)
+        ahead = evaluate(expr, shifted(bindings, var, step))
+        behind = evaluate(expr, shifted(bindings, var, -step))
+        return (ahead - behind) / (2.0 * step)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-def random_diff_pairs(seed: int, count: int, names: list[str] | None = None):
+def random_diff_pairs(
+    seed: int, count: int, names: list[str] | None = None, total: bool = False
+):
     """Yield ``count`` (expr, var, bindings) triples where the expression is
-    finite and numerically tame around the binding point."""
+    finite and numerically tame around the binding point.  With ``total``
+    the direction may also be TOTAL; the bindings then also hold the rates,
+    the successors of the coordinate names."""
     rng = random.Random(seed)
     names = names or ["t", "q0_d0", "q0_d1", "q0_d0_tau", "q0_d1_tau"]
+    rates = sorted({successor(n) for n in names if n != "t"} - set(names))
     produced = 0
     while produced < count:
         tree = random_tree(rng, names, 4)
-        var = rng.choice(names)
+        var = rng.choice(names + [TOTAL] if total else names)
         bindings = {n: rng.uniform(0.4, 1.6) for n in names}
+        if total:
+            bindings.update({n: rng.uniform(-1.0, 1.0) for n in rates})
         try:
             value = evaluate(tree, bindings)
             probes = [
-                evaluate(tree, {**bindings, var: bindings[var] + delta})
+                evaluate(tree, shifted(bindings, var, delta))
                 for delta in (-2e-5, -1e-5, 1e-5, 2e-5)
             ]
         except Exception:
@@ -161,3 +198,63 @@ def cubic_order2():
         [[12.0]],
     )
     return problem, traj
+
+
+def quintic_order3():
+    """Order-3, delay-independent L = q'''^2 / 2 along q = t^5 on [0, 2]."""
+    t1, t2, tau = 0.0, 2.0, 0.5
+    # t^5 in the local variable u = t + 0.5.
+    coeffs = [[[math.comb(5, k) * (-tau) ** (5 - k) for k in range(6)]]]
+    traj = PiecewiseTrajectory([t1 - tau, t2], coeffs, order=3)
+    problem = Problem.from_sources(
+        3, 1, t1, t2, tau,
+        "q0_d3^2 / 2",
+        ["t^5"],
+        [32.0],
+        [[80.0], [320.0]],
+    )
+    return problem, traj
+
+
+def richardson_derivative(f, t: float, interval: tuple[float, float], step=None):
+    """d/dt f at t: a 5-point central stencil plus one Richardson step.
+
+    The stencil reaches 2 * step on each side of t and must stay inside
+    ``interval`` (the smooth piece of f around t), otherwise ``ValueError``.
+    The default step is 1e-3 of the interval length.
+    """
+    a, b = interval
+    h = 1e-3 * (b - a) if step is None else step
+    if t - 2 * h < a or t + 2 * h > b:
+        raise ValueError(
+            f"stencil [{t - 2 * h!r}, {t + 2 * h!r}] leaves segment [{a!r}, {b!r}]"
+        )
+
+    def at(s: float) -> np.ndarray:
+        return np.asarray(f(s), dtype=float)
+
+    def stencil(step: float) -> np.ndarray:
+        near = at(t + step) - at(t - step)
+        far = at(t + 2 * step) - at(t - 2 * step)
+        return (8.0 * near - far) / (12.0 * step)
+
+    return (16.0 * stencil(h / 2.0) - stencil(h)) / 15.0
+
+
+def psi_identity_residual(problem, traj, j: int, t: float, side: str = "right"):
+    """Residual of the recurrence d/dt psi^j = block_term(j-1) - psi^(j-1),
+    which holds along any admissible trajectory (not only extremals).  The
+    derivative is a finite difference kept inside the effective segment, an
+    oracle independent of the exact expressions behind ``psi``."""
+    m = problem.order
+    if not 1 <= j <= m:
+        raise ValueError(f"j must be in 1..{m}, got {j}")
+    region = region_of(problem, t, side)
+    interval = effective_segment(problem, traj, t, side)
+    lhs = richardson_derivative(
+        lambda s: psi(problem, traj, j, s, region, side), t, interval
+    )
+    rhs = block_term(problem, traj, j - 1, t, region, side) - psi(
+        problem, traj, j - 1, t, region, side
+    )
+    return lhs - rhs

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,19 +7,19 @@ import pytest
 import helpers
 from delay_noether import (
     FirstIntegralReport,
+    FunctionalError,
     Problem,
     ResidualReport,
     SampleGrid,
-    StencilError,
     block_term,
     check_el_differential,
     dbr_first_integral,
     effective_segment,
     el_first_integral,
     el_residual_differential,
-    evaluate_psi,
+    evaluate,
+    parse,
     psi,
-    psi_identity_residual,
     region_of,
     sample_times,
     total_derivative,
@@ -40,51 +41,63 @@ def modified_problem():
     )
 
 
+def along(expr_source: str, times: int):
+    """D_t applied ``times`` times to the parsed expression."""
+    node = parse(expr_source)
+    for _ in range(times):
+        node = total_derivative(node)
+    return node
+
+
 class TestTotalDerivative:
     @pytest.mark.parametrize("order, expected", [(1, 6.0), (2, 30.0), (3, 120.0), (4, 360.0)])
     def test_exact_for_a_sextic(self, order, expected):
-        # With one Richardson step the remaining error term involves a
-        # derivative of order >= 7, which vanishes for t^6.
-        value = total_derivative(lambda t: t**6, 1.0, order, (0.0, 2.0), step=0.05)
-        assert value == pytest.approx(expected, abs=1e-7)
+        assert evaluate(along("t^6", order), {"t": 1.0}) == expected
 
     def test_default_step_low_orders(self):
-        assert total_derivative(lambda t: t**6, 1.0, 1, (0.0, 2.0)) == pytest.approx(
-            6.0, abs=1e-9
+        # The finite-difference oracle of the tests, at its default step.
+        def sextic(t):
+            return t**6
+
+        first = helpers.richardson_derivative(sextic, 1.0, (0.0, 2.0))
+        second = helpers.richardson_derivative(
+            lambda s: helpers.richardson_derivative(sextic, s, (0.0, 2.0)),
+            1.0,
+            (0.0, 2.0),
         )
-        assert total_derivative(lambda t: t**6, 1.0, 2, (0.0, 2.0)) == pytest.approx(
-            30.0, abs=1e-7
-        )
+        assert first == pytest.approx(6.0, abs=1e-9)
+        assert second == pytest.approx(30.0, abs=1e-7)
 
     @pytest.mark.parametrize(
-        "order, expected, tol",
+        "order, expected, fd_tol",
         [(1, math.cos(1.0), 1e-10), (2, -math.sin(1.0), 1e-8),
          (3, -math.cos(1.0), 1e-5), (4, math.sin(1.0), 1e-3)],
     )
-    def test_sine(self, order, expected, tol):
-        value = total_derivative(math.sin, 1.0, order, (0.0, 2.0))
-        assert value == pytest.approx(expected, abs=tol)
+    def test_sine(self, order, expected, fd_tol):
+        # Exact to rounding; nested finite differences only reach fd_tol.
+        assert evaluate(along("sin(t)", order), {"t": 1.0}) == pytest.approx(
+            expected, abs=1e-15
+        )
+        nested = math.sin
+        for _ in range(order):
+            nested = functools.partial(
+                helpers.richardson_derivative, nested, interval=(0.0, 2.0)
+            )
+        assert nested(1.0) == pytest.approx(expected, abs=fd_tol)
 
     def test_vector_valued(self):
-        value = total_derivative(
-            lambda t: np.array([t**2, math.sin(t)]), 1.0, 1, (0.0, 2.0)
+        value = helpers.richardson_derivative(
+            lambda t: np.array([t**2, math.sin(t)]), 1.0, (0.0, 2.0)
         )
         assert value == pytest.approx([2.0, math.cos(1.0)], abs=1e-9)
 
-    def test_order_zero_is_evaluation(self):
-        assert total_derivative(lambda t: t**2, 1.5, 0, (0.0, 2.0)) == 2.25
-
     def test_stencil_must_fit_the_segment(self):
-        with pytest.raises(StencilError, match="leaves segment"):
-            total_derivative(lambda t: t, 0.001, 1, (0.0, 2.0))
-        with pytest.raises(StencilError, match="leaves segment"):
-            total_derivative(lambda t: t, 1.999, 1, (0.0, 2.0))
-        with pytest.raises(StencilError, match="leaves segment"):
-            total_derivative(lambda t: t, 1.0, 1, (0.0, 2.0), step=0.6)
-
-    def test_unsupported_order(self):
-        with pytest.raises(StencilError, match="order 5"):
-            total_derivative(lambda t: t, 1.0, 5, (0.0, 2.0))
+        with pytest.raises(ValueError, match="leaves segment"):
+            helpers.richardson_derivative(lambda t: t, 0.001, (0.0, 2.0))
+        with pytest.raises(ValueError, match="leaves segment"):
+            helpers.richardson_derivative(lambda t: t, 1.999, (0.0, 2.0))
+        with pytest.raises(ValueError, match="leaves segment"):
+            helpers.richardson_derivative(lambda t: t, 1.0, (0.0, 2.0), step=0.6)
 
 
 class TestRegions:
@@ -104,7 +117,7 @@ class TestRegions:
         assert effective_segment(problem, traj_el_only, 0.0, "left") == (0.0, 1.0)
 
     def test_effective_segment_outside_window(self, problem, traj_el_only):
-        with pytest.raises(StencilError, match="outside"):
+        with pytest.raises(FunctionalError, match="outside"):
             effective_segment(problem, traj_el_only, -0.5)
 
 
@@ -141,37 +154,40 @@ class TestPsi:
         with pytest.raises(ValueError, match="j must be"):
             psi(problem, traj_el_only, 2, 0.5)
 
-    def test_evaluate_psi_reports_the_region(self, problem, traj_el_only):
-        record = evaluate_psi(problem, traj_el_only, 1, 2.5)
-        assert record.j == 1
-        assert record.region == 2
-        assert record.t == 2.5
-        assert record.value == pytest.approx([0.0])
-
     def test_order_two_psi_closed_forms(self):
         prob, traj = helpers.cubic_order2()
         # L = (q'')^2 / 2 along q = t^3: psi^2 = q'' = 6t, psi^1 = -6.
         for t in (0.3, 0.9, 1.7):
-            assert psi(prob, traj, 2, t) == pytest.approx([6.0 * t], abs=1e-8)
-            assert psi(prob, traj, 1, t) == pytest.approx([-6.0], abs=1e-6)
-            assert psi(prob, traj, 0, t) == pytest.approx([0.0], abs=1e-5)
+            assert psi(prob, traj, 2, t) == pytest.approx([6.0 * t], abs=1e-12)
+            assert psi(prob, traj, 1, t) == pytest.approx([-6.0], abs=1e-12)
+            assert psi(prob, traj, 0, t) == pytest.approx([0.0], abs=1e-12)
+
+    def test_order_three_psi_closed_forms(self):
+        prob, traj = helpers.quintic_order3()
+        # L = (q''')^2 / 2 along q = t^5: psi^3 = 60 t^2, psi^2 = -120 t,
+        # psi^1 = 120, and psi^0 = -q^(6) vanishes on the degree-5 curve.
+        for t in (0.3, 0.9, 1.7):
+            assert psi(prob, traj, 3, t) == pytest.approx([60.0 * t * t], abs=1e-12)
+            assert psi(prob, traj, 2, t) == pytest.approx([-120.0 * t], abs=1e-12)
+            assert psi(prob, traj, 1, t) == pytest.approx([120.0], abs=1e-12)
+            assert psi(prob, traj, 0, t) == pytest.approx([0.0], abs=1e-12)
 
     def test_psi_identity_on_the_piecewise_extremal(self, problem, traj_el_only):
         for t in (0.4, 1.5, 2.5):
-            assert psi_identity_residual(problem, traj_el_only, 1, t) == (
+            assert helpers.psi_identity_residual(problem, traj_el_only, 1, t) == (
                 pytest.approx([0.0], abs=1e-8)
             )
 
     def test_psi_identity_holds_off_extremals_too(self, traj_el_only):
         prob = modified_problem()
         for t in (0.4, 1.5, 2.5):
-            assert psi_identity_residual(prob, traj_el_only, 1, t) == (
+            assert helpers.psi_identity_residual(prob, traj_el_only, 1, t) == (
                 pytest.approx([0.0], abs=1e-7)
             )
 
     def test_psi_identity_j_validation(self, problem, traj_el_only):
         with pytest.raises(ValueError, match="j must be"):
-            psi_identity_residual(problem, traj_el_only, 0, 0.5)
+            helpers.psi_identity_residual(problem, traj_el_only, 0, 0.5)
 
 
 class TestSampleGrid:
@@ -220,6 +236,14 @@ class TestElDifferentialCheck:
         report = check_el_differential(modified_problem(), traj_el_only)
         assert not report.verdict
         assert report.max_abs > 0.1
+
+    def test_exact_higher_order_extremals_pass_at_the_defaults(self):
+        # Finite-difference noise once pushed the cubic past 1e-7.
+        for build in (helpers.cubic_order2, helpers.quintic_order3):
+            prob, traj = build()
+            report = check_el_differential(prob, traj)
+            assert report.verdict
+            assert report.max_abs <= 1e-12
 
 
 class TestElIntegralCheck:
@@ -282,6 +306,13 @@ class TestDbrCheck:
         for fit in report.regions:
             assert fit.constant == pytest.approx([0.0], abs=1e-9)
         assert report.failing_segments == ()
+
+    def test_quintic_extremal_passes_at_the_defaults(self):
+        prob, traj = helpers.quintic_order3()
+        report = dbr_first_integral(prob, traj)
+        assert report.verdict
+        for fit in report.regions:
+            assert fit.constant == pytest.approx([0.0], abs=1e-9)
 
     def test_loose_tolerance_turns_the_verdict(self, problem, traj_el_only):
         report = dbr_first_integral(problem, traj_el_only, tol=10.0)

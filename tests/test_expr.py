@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from delay_noether import (
     DomainError,
+    ExpressionError,
     ParseError,
     UnboundVariableError,
     UnknownFunctionError,
@@ -17,6 +18,7 @@ from delay_noether import (
     evaluate,
     parse,
     to_source,
+    total_derivative,
     variables,
 )
 from delay_noether.expr import (
@@ -148,6 +150,15 @@ class TestDifferentiation:
         bindings[var] = point
         value = evaluate(diff(parse(source), var), bindings)
         assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_total_derivative_advances_every_coordinate(self):
+        node = total_derivative(parse("t * q0_d1 + q1_d0_tau"))
+        assert to_source(node) == "q0_d1 + t * q0_d2 + q1_d1_tau"
+        assert total_derivative(parse("3 * pi")) == Constant(0.0)
+
+    def test_total_derivative_rejects_names_off_the_trajectory(self):
+        with pytest.raises(ExpressionError, match="'x' does not move"):
+            total_derivative(parse("x * t"))
 
     def test_against_finite_differences(self):
         for tree, var, bindings in helpers.random_diff_pairs(seed=101, count=100):

@@ -13,7 +13,6 @@ from delay_noether import (
     action,
     integrate,
     parse,
-    partial,
 )
 from delay_noether.trajectory import DelayedArgs
 
@@ -135,8 +134,9 @@ class TestPartials:
                 problem.partial(block, args)
 
     def test_module_level_partial_delegates(self, problem, traj_el_only):
+        # Problem.partial is the single entry point for Lagrangian partials.
         args = problem.args(traj_el_only, 1.5)
-        assert partial(problem, 3, args) == pytest.approx([4.0])
+        assert problem.partial(3, args) == pytest.approx([4.0])
 
     def test_symmetric_lagrangian_has_equal_current_and_delayed_blocks(self, problem):
         rng = np.random.default_rng(3)

@@ -77,20 +77,20 @@ class TestRho:
         sym = SymmetryCandidate.from_sources(1, 2, "t", ["q0"])
         traj = parabola_trajectory()
         for t in (0.5, 1.0, 1.5):
-            assert rho(sym, traj, 1, t) == pytest.approx([0.0], abs=1e-8)
+            assert rho(sym, traj, 1, t) == pytest.approx([0.0], abs=1e-12)
 
     def test_rho_one_closed_form(self):
         # xi = t q = t^3 along q = t^2: rho^1 = 3 t^2 - 2 t.
         sym = SymmetryCandidate.from_sources(1, 2, "t", ["t * q0"])
         traj = parabola_trajectory()
         for t in (0.5, 1.0, 1.5):
-            assert rho(sym, traj, 1, t) == pytest.approx([3 * t * t - 2 * t], abs=1e-8)
+            assert rho(sym, traj, 1, t) == pytest.approx([3 * t * t - 2 * t], abs=1e-12)
 
     def test_rho_two_closed_form(self):
         # rho^2 = d(rho^1)/dt - q'' * d(eta)/dt = 0 - 2 for eta = t, xi = q.
         sym = SymmetryCandidate.from_sources(1, 2, "t", ["q0"])
         traj = parabola_trajectory()
-        assert rho(sym, traj, 2, 1.0) == pytest.approx([-2.0], abs=1e-6)
+        assert rho(sym, traj, 2, 1.0) == pytest.approx([-2.0], abs=1e-12)
 
     def test_index_validation(self):
         sym = SymmetryCandidate.from_sources(1, 2, "t", ["q0"])
@@ -148,6 +148,16 @@ class TestInvariance:
                 pytest.approx(1.0, abs=1e-9)
             )
 
+    def test_gauge_derivative_reaches_one_order_above_the_problem(self):
+        # Phi = q q' along q = (t + 1)^2: D_t Phi = q'^2 + q q'' = 13.5 at
+        # t = 0.5, which needs q'' on an order-1 problem.
+        prob = linear_lagrangian_problem()
+        traj = PiecewiseTrajectory([-1.0, 3.0], [[[0.0, 0.0, 1.0]]], order=1)
+        gauged = SymmetryCandidate.from_sources(1, 1, "0", ["0"], "q0_d0 * q0_d1")
+        assert invariance_residual(prob, traj, gauged, 0.5) == pytest.approx(
+            -13.5, abs=1e-12
+        )
+
     def test_check_invariance_passes_for_the_bundled_symmetry(
         self, problem, symmetry, traj_el_only
     ):
@@ -204,6 +214,17 @@ class TestNoetherCharge:
         assert by_region[1].constant == pytest.approx([4.0], abs=1e-9)
         assert by_region[2].constant == pytest.approx([0.0], abs=1e-9)
         assert report.junction_gap == pytest.approx(4.0, abs=1e-9)
+
+    def test_quintic_charge_is_conserved_at_the_defaults(self):
+        # Finite-difference noise once broke this verdict on the exact
+        # order-3 extremal.
+        prob, traj = helpers.quintic_order3()
+        sym = SymmetryCandidate.from_sources(1, 3, "1", ["0"])
+        report = check_conservation(prob, traj, sym)
+        assert report.verdict
+        for fit in report.charge.regions:
+            assert fit.constant == pytest.approx([0.0], abs=1e-9)
+        assert report.junction_gap <= 1e-9
 
     def test_oscillator_energy(self):
         prob, traj = helpers.oscillator()

@@ -131,9 +131,15 @@ class TestEvaluation:
         with pytest.raises(TrajectoryError, match="outside domain"):
             traj_el_only.eval_derivative(-1.5, 0)
 
-    def test_derivative_order_above_class_is_rejected(self, traj_el_only):
-        with pytest.raises(TrajectoryError, match="derivative order 2"):
-            traj_el_only.eval_derivative(0.5, 2)
+    def test_derivatives_above_the_class_are_one_sided_zeros(self, traj_el_only):
+        # The piecewise-linear curve has a kink at t = 2: its second
+        # derivative is 0 on either side there and inside every segment.
+        for side in ("left", "right"):
+            assert traj_el_only.eval_derivative(2.0, 2, side) == pytest.approx([0.0])
+        assert traj_el_only.eval_derivative(0.5, 2) == pytest.approx([0.0])
+        assert traj_el_only.eval_derivative(0.5, 5) == pytest.approx([0.0])
+        with pytest.raises(TrajectoryError, match="derivative order -1"):
+            traj_el_only.eval_derivative(0.5, -1)
 
     def test_higher_derivatives_of_a_quadratic(self):
         traj = quadratic_on_two_pieces()
@@ -235,8 +241,14 @@ class TestDelayedArgs:
     def test_tau_and_order_validation(self, traj_el_only):
         with pytest.raises(TrajectoryError, match="tau"):
             delayed_args(traj_el_only, 0.5, -1.0)
-        with pytest.raises(TrajectoryError, match="order 2"):
-            delayed_args(traj_el_only, 0.5, 1.0, order=2)
+        with pytest.raises(TrajectoryError, match="order 0"):
+            delayed_args(traj_el_only, 0.5, 1.0, order=0)
+
+    def test_depth_may_exceed_the_class(self, traj_el_only):
+        args = delayed_args(traj_el_only, 0.5, 1.0, order=2)
+        assert args.order == 2
+        assert args.current == pytest.approx(np.array([[0.5], [1.0], [0.0]]))
+        assert "q0_d2_tau" in args.bindings()
 
 
 class TestEffectiveBreakpoints:
