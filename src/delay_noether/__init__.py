@@ -37,6 +37,7 @@ from .functional import (
     Problem,
     QuadratureSpec,
     action,
+    gauss_nodes,
     integrate,
 )
 from .conditions import (

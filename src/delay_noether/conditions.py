@@ -10,6 +10,10 @@ they do not).  This module evaluates, along a candidate trajectory:
   across the junction),
 * the DuBois-Reymond first integral, constant per region.
 
+The integral-form and DuBois-Reymond checks each integrate on one Gauss
+table (``functional.gauss_nodes``) whose panels end at the effective
+breakpoints and at the sample times, evaluating integrands once per node.
+
 Time derivatives are exact: trajectories are piecewise polynomials and L
 is symbolic, so the total derivatives inside psi^j are expressions
 (``expr.total_derivative``) evaluated one-sided at the sample time, never
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,14 +34,14 @@ from .functional import (
     FunctionalError,
     Problem,
     QuadratureSpec,
-    _leggauss,
-    integrate,
+    gauss_nodes,
 )
 from .trajectory import (
     _SNAP_FRACTION,
     PiecewiseTrajectory,
     delayed_args,
     effective_breakpoints,
+    locate,
     subsegments,
 )
 
@@ -65,15 +68,7 @@ def effective_segment(
     snap = traj.snap
     if t < cuts[0] - snap or t > cuts[-1] + snap:
         raise FunctionalError(f"t={t!r} outside [t1, t2]")
-    nearest = int(np.argmin(np.abs(cuts - t)))
-    if abs(cuts[nearest] - t) <= snap:
-        if side == "right":
-            index = nearest if nearest < cuts.size - 1 else nearest - 1
-        else:
-            index = nearest - 1 if nearest > 0 else 0
-    else:
-        index = int(np.searchsorted(cuts, t)) - 1
-    index = min(max(index, 0), cuts.size - 2)
+    index = locate(cuts, t, side, snap)
     return float(cuts[index]), float(cuts[index + 1])
 
 
@@ -248,6 +243,9 @@ def _fit_polynomial(
     return coeffs, values - fitted
 
 
+DEFAULT_FIRST_INTEGRAL_TOL = 1e-7
+
+
 def _analyze_samples(
     quantity: str,
     mode: str,
@@ -255,10 +253,12 @@ def _analyze_samples(
     values: np.ndarray,
     regions: list[int | None],
     degree: int,
-    tol: float,
+    tol: float | None,
     junction: float,
 ) -> FirstIntegralReport:
-    """Shared fit/verdict assembly for first-integral style checks."""
+    """Shared fit/verdict assembly for first-integral style checks: the
+    deviation from the fit against ``tol`` times the values' scale."""
+    tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
     times = np.array([t for t, _ in samples])
     if values.ndim == 1:
         values = values[:, None]
@@ -313,39 +313,29 @@ def _analyze_samples(
     )
 
 
-DEFAULT_FIRST_INTEGRAL_TOL = 1e-7
-
-
-def _oriented_nested_integral(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
+def _folded_integral(
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    table: np.ndarray,
+    bases: np.ndarray | float,
+    times: np.ndarray,
     k: int,
-    phi: Callable[[float], np.ndarray],
-    t: float,
-    quad: QuadratureSpec,
 ) -> np.ndarray:
-    """k-fold nested integral of phi from the junction to t, collapsed to a
-    single weighted integral: 1/(k-1)! * int (t - s)^(k-1) phi(s) ds."""
-    base = problem.junction
-    lo, hi = (t, base) if t < base else (base, t)
-    if hi - lo == 0.0:
-        return np.zeros(problem.dim)
-    sign = 1.0 if t >= base else (1.0 if k % 2 == 0 else -1.0)
-    cuts = effective_breakpoints(traj, problem.tau, (lo, hi))
-    nodes, weights = _leggauss(quad.gauss_points)
+    """k-fold nested integral, from each base to its time, of the function
+    tabulated at the Gauss ``nodes`` (one row of ``table`` per node).
+
+    Cauchy's formula collapses it to 1/(k-1)! int_base^t (t - s)^(k-1) f(s) ds,
+    a weighted sum over the nodes between base and t; both must be panel
+    ends of the rule, so no panel straddles them.
+    """
+    bases = np.broadcast_to(bases, times.shape)
     scale = 1.0 / math.factorial(k - 1)
-    pieces = []
-    for a, b in subsegments(cuts, lo, hi, traj.snap):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for x, w in zip(nodes, weights):
-            s = mid + half * x
-            pieces.append(w * half * scale * abs(t - s) ** (k - 1) * phi(s))
-    if not pieces:
-        return np.zeros(problem.dim)
-    total = np.zeros_like(np.asarray(pieces[0], dtype=float))
-    for piece in pieces:
-        total = total + piece
-    return sign * total
+    out = np.zeros((times.size,) + table.shape[1:])
+    for row, (t, base) in enumerate(zip(times, bases)):
+        lo, hi = np.searchsorted(nodes, (min(t, base), max(t, base)))
+        kernel = weights[lo:hi] * scale * (t - nodes[lo:hi]) ** (k - 1)
+        out[row] = (1.0 if t >= base else -1.0) * (kernel @ table[lo:hi])
+    return out
 
 
 def el_first_integral(
@@ -365,27 +355,26 @@ def el_first_integral(
     """
     if mode not in ("regional", "global"):
         raise ValueError(f"mode must be 'regional' or 'global', got {mode!r}")
-    problem.check_trajectory(traj)
-    quad = quad or QuadratureSpec()
-    tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
     m = problem.order
 
-    def phi(i: int) -> Callable[[float], np.ndarray]:
-        return lambda s: block_term(problem, traj, i, s, region_of(problem, s))
+    def terms(i: int, ts: np.ndarray) -> np.ndarray:
+        return np.array(
+            [block_term(problem, traj, i, t, region_of(problem, t)) for t in ts]
+        )
 
     samples = sample_times(problem, traj, None, grid)
-    values = np.zeros((len(samples), problem.dim))
-    for row, (t, _) in enumerate(samples):
-        acc = np.zeros(problem.dim)
-        for i in range(m + 1):
-            fold = m - i
-            sign = -1.0 if (m - i - 1) % 2 else 1.0
-            if fold == 0:
-                term = block_term(problem, traj, i, t, region_of(problem, t))
-            else:
-                term = _oriented_nested_integral(problem, traj, fold, phi(i), t, quad)
-            acc = acc + sign * term
-        values[row] = acc
+    times = np.array([t for t, _ in samples])
+    nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
+    values = np.zeros((times.size, problem.dim))
+    for i in range(m + 1):
+        sign = -1.0 if (m - i - 1) % 2 else 1.0
+        if i == m:
+            term = terms(m, times)
+        else:
+            term = _folded_integral(
+                nodes, weights, terms(i, nodes), problem.junction, times, m - i
+            )
+        values = values + sign * term
 
     regions: list[int | None] = [1, 2] if mode == "regional" else [None]
     return _analyze_samples(
@@ -402,29 +391,23 @@ def dbr_first_integral(
 ) -> FirstIntegralReport:
     """DuBois-Reymond first integral, constant on each region:
     L - sum_j psi^j . q^(j) - int d/dt-partial of L from the region start."""
-    problem.check_trajectory(traj)
-    quad = quad or QuadratureSpec()
-    tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
     m = problem.order
 
     samples = sample_times(problem, traj, None, grid)
-    values = np.zeros(len(samples))
-    for row, (t, _) in enumerate(samples):
-        region = region_of(problem, t)
-        start = problem.t1 if region == 1 else problem.junction
+    times = np.array([t for t, _ in samples])
+    regions = [region_of(problem, t) for t in times]
+    nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
+    rates = np.array([problem.partial(1, problem.args(traj, s)) for s in nodes])
+    starts = np.where(np.array(regions) == 1, problem.t1, problem.junction)
+    explicit = _folded_integral(nodes, weights, rates, starts, times, 1)
+    values = np.zeros(times.size)
+    for row, (t, region) in enumerate(zip(times, regions)):
         args = problem.args(traj, t)
         total = problem.lagrangian_value(args)
         for j in range(1, m + 1):
             momentum = psi(problem, traj, j, t, region)
             total -= float(momentum @ args.current[j])
-        total -= integrate(
-            problem,
-            traj,
-            lambda a: problem.partial(1, a),
-            (start, t),
-            quad,
-        )
-        values[row] = total
+        values[row] = total - explicit[row]
 
     return _analyze_samples(
         "dbr", "regional", samples, values, [1, 2], 0, tol, problem.junction
@@ -443,23 +426,27 @@ class ResidualReport:
     verdict: bool
 
 
+def _residual_report(
+    quantity: str,
+    samples: list[tuple[float, tuple[float, float]]],
+    values: np.ndarray,
+    tol: float | None,
+) -> ResidualReport:
+    """Pointwise verdict: max|r| against the absolute threshold ``tol``."""
+    tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
+    max_abs = float(np.max(np.abs(values))) if values.size else 0.0
+    times = np.array([t for t, _ in samples])
+    return ResidualReport(quantity, times, values, tol, max_abs, max_abs <= tol)
+
+
 def check_el_differential(
     problem: Problem,
     traj: PiecewiseTrajectory,
     grid: SampleGrid | None = None,
     tol: float | None = None,
 ) -> ResidualReport:
-    tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
     samples = sample_times(problem, traj, None, grid)
     values = np.array(
         [el_residual_differential(problem, traj, t) for t, _ in samples]
     )
-    max_abs = float(np.max(np.abs(values))) if values.size else 0.0
-    return ResidualReport(
-        "el-differential",
-        np.array([t for t, _ in samples]),
-        values,
-        tol,
-        max_abs,
-        max_abs <= tol,
-    )
+    return _residual_report("el-differential", samples, values, tol)

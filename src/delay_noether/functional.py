@@ -224,6 +224,26 @@ class Problem:
         return ex.evaluate(self.lagrangian, args.bindings())
 
 
+def gauss_nodes(
+    problem: Problem,
+    traj: PiecewiseTrajectory,
+    window: tuple[float, float],
+    quad: QuadratureSpec | None = None,
+    cuts: Sequence[float] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (increasing) and weights of the composite Gauss-Legendre rule
+    on ``window``, with panels ending at the effective breakpoints and at
+    ``cuts``, so every panel integrates a smooth function."""
+    points = np.concatenate(
+        [effective_breakpoints(traj, problem.tau, window), np.asarray(cuts, float)]
+    )
+    panels = np.array(subsegments(points, *window, traj.snap)).reshape(-1, 2)
+    mid = 0.5 * (panels[:, :1] + panels[:, 1:])
+    half = 0.5 * (panels[:, 1:] - panels[:, :1])
+    x, w = _leggauss((quad or QuadratureSpec()).gauss_points)
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
 def integrate(
     problem: Problem,
     traj: PiecewiseTrajectory,
@@ -232,26 +252,18 @@ def integrate(
     quad: QuadratureSpec | None = None,
 ) -> float:
     """Integrate ``integrand(args(t))`` over ``window`` (default [t1, t2])
-    with composite Gauss-Legendre panels split at effective breakpoints."""
+    with the composite rule of ``gauss_nodes``."""
     problem.check_trajectory(traj)
-    quad = quad or QuadratureSpec()
     lo, hi = window if window is not None else (problem.t1, problem.t2)
     snap = traj.snap
     if lo < problem.t1 - snap or hi > problem.t2 + snap:
         raise FunctionalError(f"window [{lo!r}, {hi!r}] outside [t1, t2]")
     if hi <= lo:
         return 0.0
-    cuts = effective_breakpoints(traj, problem.tau, (lo, hi))
-    panels = subsegments(cuts, lo, hi, snap)
-    nodes, weights = _leggauss(quad.gauss_points)
-    contributions = []
-    for a, b in panels:
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        for x, w in zip(nodes, weights):
-            t = mid + half * x
-            contributions.append(w * half * integrand(problem.args(traj, t)))
-    return math.fsum(contributions)
+    nodes, weights = gauss_nodes(problem, traj, (lo, hi), quad)
+    return math.fsum(
+        w * integrand(problem.args(traj, t)) for t, w in zip(nodes, weights)
+    )
 
 
 def action(

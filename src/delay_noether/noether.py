@@ -23,8 +23,8 @@ from .conditions import (
     FirstIntegralReport,
     ResidualReport,
     SampleGrid,
-    DEFAULT_FIRST_INTEGRAL_TOL,
     _analyze_samples,
+    _residual_report,
     block_term,
     psi,
     region_of,
@@ -238,20 +238,11 @@ def check_invariance(
     grid: SampleGrid | None = None,
     tol: float | None = None,
 ) -> ResidualReport:
-    tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
     samples = sample_times(problem, traj, None, grid)
     values = np.array(
         [invariance_residual(problem, traj, sym, t) for t, _ in samples]
     )
-    max_abs = float(np.max(np.abs(values))) if values.size else 0.0
-    return ResidualReport(
-        "invariance",
-        np.array([t for t, _ in samples]),
-        values,
-        tol,
-        max_abs,
-        max_abs <= tol,
-    )
+    return _residual_report("invariance", samples, values, tol)
 
 
 def check_conservation(
@@ -263,7 +254,6 @@ def check_conservation(
 ) -> ConservationReport:
     """Sample the Noether charge and decide per-region constancy."""
     sym.check_against(problem)
-    tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
     samples = sample_times(problem, traj, None, grid)
     values = np.array(
         [noether_charge(problem, traj, sym, t) for t, _ in samples]

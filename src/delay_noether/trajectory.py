@@ -42,6 +42,23 @@ def _poly_derivative_value(coeffs: np.ndarray, u: float, k: int) -> np.ndarray:
     return result
 
 
+def locate(points: np.ndarray, t: float, side: str, snap: float) -> int:
+    """Index j of the interval [points[j], points[j + 1]] whose ``side``
+    limit governs t, for t in [points[0] - snap, points[-1] + snap].
+
+    A t within ``snap`` of a point counts as that point; at the two ends
+    only the inward limit exists.
+    """
+    i = int(np.searchsorted(points, t))  # points[i - 1] < t <= points[i]
+    nearer_left = i == points.size or (i > 0 and t - points[i - 1] <= points[i] - t)
+    hit = i - 1 if nearer_left else i
+    if abs(points[hit] - t) <= snap:
+        if side == "right":
+            return hit if hit < points.size - 1 else hit - 1
+        return hit - 1 if hit > 0 else 0
+    return i - 1
+
+
 class PiecewiseTrajectory:
     """Piecewise polynomial curve q: [b_0, b_K] -> R^dim.
 
@@ -142,16 +159,7 @@ class PiecewiseTrajectory:
         snap = self.snap
         if t < bp[0] - snap or t > bp[-1] + snap:
             raise TrajectoryError(f"t={t!r} outside domain [{bp[0]!r}, {bp[-1]!r}]")
-        hit = int(np.argmin(np.abs(bp - t)))
-        if abs(bp[hit] - t) <= snap:
-            if side == "right":
-                if hit == bp.size - 1:
-                    return hit - 1  # right end: only the left limit exists
-                return hit
-            if hit == 0:
-                return 0  # left end: only the right limit exists
-            return hit - 1
-        return int(np.searchsorted(bp, t)) - 1
+        return locate(bp, t, side, snap)
 
     def segment_interval(self, t: float, side: str = "right") -> tuple[float, float]:
         j = self.segment_index(t, side)

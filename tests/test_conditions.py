@@ -9,6 +9,7 @@ from delay_noether import (
     FirstIntegralReport,
     FunctionalError,
     Problem,
+    QuadratureSpec,
     ResidualReport,
     SampleGrid,
     block_term,
@@ -18,12 +19,15 @@ from delay_noether import (
     el_first_integral,
     el_residual_differential,
     evaluate,
+    gauss_nodes,
     parse,
     psi,
     region_of,
     sample_times,
     total_derivative,
 )
+from delay_noether import conditions, functional
+from delay_noether.conditions import _folded_integral
 
 
 def modified_problem():
@@ -208,7 +212,7 @@ class TestSampleGrid:
         assert len(samples) == 200
         assert all(interval == (0.0, 1.0) for _, interval in samples)
 
-    def test_sliver_segments_fall_back_to_their_midpoint(self):
+    def test_sliver_segments_get_interior_samples(self):
         prob, traj = helpers.oscillator()
         samples = sample_times(prob, traj, grid=SampleGrid(points=40))
         widths = {round(b - a, 9) for _, (a, b) in samples}
@@ -279,9 +283,64 @@ class TestElIntegralCheck:
             assert fit.constant is None  # degree-1 model, not a constant
             assert fit.polynomial[:, 0] == pytest.approx([0.0, -6.0], abs=1e-6)
 
+    def test_order_three_fit_is_quadratic(self):
+        # Order 3 folds block terms up to three times from the junction.
+        prob, traj = helpers.quintic_order3()
+        report = el_first_integral(prob, traj)
+        assert report.verdict
+        assert [fit.region for fit in report.regions] == [1, 2]
+        for fit in report.regions:
+            assert fit.polynomial[:, 0] == pytest.approx([0.0, 0.0, -60.0], abs=1e-6)
+
     def test_mode_validation(self, problem, traj_el_only):
         with pytest.raises(ValueError, match="mode"):
             el_first_integral(problem, traj_el_only, mode="piecewise")
+
+
+class TestFoldedIntegral:
+    def test_folds_of_one_are_oriented_powers(self, problem, traj_el_only):
+        # k-fold integral of 1 from base to t is (t - base)^k / k!, on both
+        # sides of base; the sign for odd k pins the orientation.
+        base = problem.junction
+        times = np.array([0.3, 1.7, 2.4, 2.95])
+        nodes, weights = gauss_nodes(
+            problem, traj_el_only, (problem.t1, problem.t2), QuadratureSpec(), times
+        )
+        ones = np.ones((nodes.size, 1))
+        for k in (1, 2, 3):
+            folded = _folded_integral(nodes, weights, ones, base, times, k)
+            expected = (times - base) ** k / math.factorial(k)
+            assert folded[:, 0] == pytest.approx(expected, abs=1e-14)
+
+    def test_each_time_may_have_its_own_base(self, problem, traj_el_only):
+        times = np.array([0.5, 2.5])
+        bases = np.array([problem.t1, problem.junction])
+        nodes, weights = gauss_nodes(
+            problem, traj_el_only, (problem.t1, problem.t2), QuadratureSpec(), times
+        )
+        folded = _folded_integral(nodes, weights, nodes, bases, times, 1)
+        # integral of s from base to t
+        assert folded == pytest.approx((times**2 - bases**2) / 2, abs=1e-14)
+
+    def test_quadrature_setup_does_not_grow_with_the_samples(
+        self, problem, traj_el_only, monkeypatch
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = functional.effective_breakpoints
+        monkeypatch.setattr(functional, "effective_breakpoints", counted)
+        monkeypatch.setattr(conditions, "effective_breakpoints", counted)
+        for check in (el_first_integral, dbr_first_integral):
+            counts = []
+            for points in (20, 200):
+                calls.clear()
+                check(problem, traj_el_only, grid=SampleGrid(points=points))
+                counts.append(len(calls))
+            assert counts[0] == counts[1], check.__name__
 
 
 class TestDbrCheck:

@@ -11,6 +11,7 @@ from delay_noether import (
     QuadratureSpec,
     VocabularyError,
     action,
+    gauss_nodes,
     integrate,
     parse,
 )
@@ -230,6 +231,30 @@ class TestQuadrature:
             )
             == 0.0
         )
+
+    def test_gauss_nodes_split_panels_at_breakpoints_and_cuts(
+        self, problem, traj_el_only
+    ):
+        quad = QuadratureSpec(4)
+        nodes, weights = gauss_nodes(problem, traj_el_only, (0.5, 3.0), quad, (2.5,))
+        # Panels [0.5, 1], [1, 2], [2, 2.5], [2.5, 3]: four nodes in each.
+        assert nodes.size == weights.size == 16
+        assert np.all(np.diff(nodes) > 0)
+        edges = (0.5, 1.0, 2.0, 2.5, 3.0)
+        for a, b in zip(edges, edges[1:]):
+            inside = (nodes > a) & (nodes < b)
+            assert np.count_nonzero(inside) == 4
+            assert math.fsum(weights[inside]) == pytest.approx(b - a, abs=1e-15)
+
+    def test_integrate_sums_over_the_gauss_nodes(self, problem, traj_el_only):
+        nodes, weights = gauss_nodes(
+            problem, traj_el_only, (problem.t1, problem.t2), QuadratureSpec()
+        )
+        expected = math.fsum(
+            w * problem.lagrangian_value(problem.args(traj_el_only, t))
+            for t, w in zip(nodes, weights)
+        )
+        assert integrate(problem, traj_el_only, problem.lagrangian_value) == expected
 
     def test_oscillating_integrand_against_closed_form(self):
         # L = sin(q'(t - tau)) with q = t^2 on [0, 2], tau = 1/2:
