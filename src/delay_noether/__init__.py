@@ -48,6 +48,7 @@ from .conditions import (
     SampleGrid,
     SegmentFit,
     block_term,
+    block_terms,
     check_el_differential,
     dbr_first_integral,
     effective_segment,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +73,27 @@ def effective_segment(
     return float(cuts[index]), float(cuts[index + 1])
 
 
+def block_terms(
+    problem: Problem,
+    traj: PiecewiseTrajectory,
+    ks: Sequence[int],
+    t: float,
+    region: int,
+    side: str = "right",
+) -> np.ndarray:
+    """The region-dependent coefficients of the conditions for each k in
+    ``ks``, shape (len(ks), dim): dL/dq^(k)(t) plus, in region 1, the
+    advanced term dL/dq^(k)_tau(t + tau).  Arguments are assembled once at
+    t and once at t + tau for all of them."""
+    m = problem.order
+    args = problem.args(traj, t, side)
+    value = np.array([problem.partial(k + 2, args) for k in ks])
+    if region == 1:
+        advanced = problem.args(traj, t + problem.tau, side)
+        value = value + np.array([problem.partial(k + m + 3, advanced) for k in ks])
+    return value
+
+
 def block_term(
     problem: Problem,
     traj: PiecewiseTrajectory,
@@ -80,15 +102,8 @@ def block_term(
     region: int,
     side: str = "right",
 ) -> np.ndarray:
-    """The region-dependent coefficient of the conditions:
-    dL/dq^(k)(t) plus, in region 1, the advanced term dL/dq^(k)_tau(t + tau)."""
-    m = problem.order
-    value = problem.partial(k + 2, problem.args(traj, t, side))
-    if region == 1:
-        value = value + problem.partial(
-            k + m + 3, problem.args(traj, t + problem.tau, side)
-        )
-    return value
+    """The coefficient of index k alone (see ``block_terms``)."""
+    return block_terms(problem, traj, (k,), t, region, side)[0]
 
 
 def psi(
@@ -357,22 +372,22 @@ def el_first_integral(
         raise ValueError(f"mode must be 'regional' or 'global', got {mode!r}")
     m = problem.order
 
-    def terms(i: int, ts: np.ndarray) -> np.ndarray:
-        return np.array(
-            [block_term(problem, traj, i, t, region_of(problem, t)) for t in ts]
-        )
+    def terms(ks: range, ts: np.ndarray) -> np.ndarray:  # (len(ks), len(ts), dim)
+        rows = [block_terms(problem, traj, ks, t, region_of(problem, t)) for t in ts]
+        return np.ascontiguousarray(np.swapaxes(rows, 0, 1))
 
     samples = sample_times(problem, traj, None, grid)
     times = np.array([t for t, _ in samples])
     nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
+    node_terms = terms(range(m), nodes)
     values = np.zeros((times.size, problem.dim))
     for i in range(m + 1):
         sign = -1.0 if (m - i - 1) % 2 else 1.0
         if i == m:
-            term = terms(m, times)
+            term = terms(range(m, m + 1), times)[0]
         else:
             term = _folded_integral(
-                nodes, weights, terms(i, nodes), problem.junction, times, m - i
+                nodes, weights, node_terms[i], problem.junction, times, m - i
             )
         values = values + sign * term
 

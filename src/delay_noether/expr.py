@@ -13,7 +13,9 @@ parser::
 NUMBER covers decimal and scientific literals.  ``pi`` and ``e`` are folded
 to float constants at parse time; every other bare NAME is a variable.
 Evaluation is pure: unbound variables and domain violations raise, they are
-never silently defaulted.
+never silently defaulted.  ``evaluate`` walks the tree at one point;
+``compile`` turns a tree once into a numpy closure that evaluates it over
+whole arrays of bindings and raises the same errors.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
+
+import numpy as np
 
 
 class ExpressionError(ValueError):
@@ -100,6 +104,12 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sinh": math.sinh,
     "cosh": math.cosh,
     "tanh": math.tanh,
+}
+
+# Arguments outside a function's real domain, checked before it is called.
+_DOMAIN_CHECKS: dict[str, tuple[Callable, str]] = {
+    "log": (lambda x: x <= 0.0, "log of non-positive value"),
+    "sqrt": (lambda x: x < 0.0, "sqrt of negative value"),
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -293,10 +303,9 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
         value = evaluate(expr.arg, bindings)
         if expr.op == "neg":
             return -value
-        if expr.op == "log" and value <= 0.0:
-            raise DomainError("log of non-positive value", to_source(expr))
-        if expr.op == "sqrt" and value < 0.0:
-            raise DomainError("sqrt of negative value", to_source(expr))
+        domain = _DOMAIN_CHECKS.get(expr.op)
+        if domain is not None and domain[0](value):
+            raise DomainError(domain[1], to_source(expr))
         try:
             return _FUNCTIONS[expr.op](value)
         except (ValueError, OverflowError):
@@ -317,6 +326,111 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
         return math.pow(left, right)
     except (ValueError, OverflowError, ZeroDivisionError):
         raise DomainError("invalid power", to_source(expr)) from None
+
+
+_NUMPY_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    name: getattr(np, name) for name in _FUNCTIONS
+}
+# Powers call libm's pow per element, as ``evaluate`` does: numpy's power
+# kernels (and even its x * x for ^2) round differently from math.pow.
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _out_of_range(x, y) -> bool:
+    """CPython's rule for raising in a one-argument math function: a NaN
+    from a non-NaN argument or an infinity from a finite one."""
+    if np.isfinite(y).all():
+        return False
+    invalid = np.isnan(y) & ~np.isnan(x)
+    overflow = np.isinf(y) & np.isfinite(x)
+    return bool((invalid | overflow).any())
+
+
+def _compile(expr: Expression) -> Callable:
+    if isinstance(expr, Constant):
+        value = expr.value
+        return lambda bindings: value
+    if isinstance(expr, Variable):
+        name = expr.name
+
+        def variable(bindings):
+            try:
+                value = bindings[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+            if isinstance(value, np.ndarray):
+                return value.astype(float, copy=False)
+            return float(value)
+
+        return variable
+    if isinstance(expr, Unary):
+        arg = _compile(expr.arg)
+        if expr.op == "neg":
+            return lambda bindings: -arg(bindings)
+        function = _NUMPY_FUNCTIONS[expr.op]
+        domain = _DOMAIN_CHECKS.get(expr.op)
+
+        def unary(bindings):
+            x = arg(bindings)
+            if domain is not None and np.asarray(domain[0](x)).any():
+                raise DomainError(domain[1], to_source(expr))
+            y = function(x)
+            if _out_of_range(x, y):
+                raise DomainError(f"{expr.op} out of range", to_source(expr))
+            return y
+
+        return unary
+    left, right = _compile(expr.left), _compile(expr.right)
+    if expr.op == "add":
+        return lambda bindings: left(bindings) + right(bindings)
+    if expr.op == "sub":
+        return lambda bindings: left(bindings) - right(bindings)
+    if expr.op == "mul":
+        return lambda bindings: left(bindings) * right(bindings)
+    if expr.op == "div":
+
+        def divide(bindings):
+            numerator, denominator = left(bindings), right(bindings)
+            if np.asarray(denominator == 0.0).any():
+                raise DomainError("division by zero", to_source(expr))
+            return numerator / denominator
+
+        return divide
+
+    def power(bindings):
+        base, exponent = left(bindings), right(bindings)
+        try:
+            value = _POW(base, exponent)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            raise DomainError("invalid power", to_source(expr)) from None
+        return value.astype(float) if isinstance(value, np.ndarray) else value
+
+    return power
+
+
+ArrayBindings = Mapping[str, Union[np.ndarray, float]]
+
+
+def compile(expr: Expression) -> Callable[[ArrayBindings], np.ndarray | float]:
+    """Compile ``expr`` once into a closure that evaluates it elementwise
+    over a bindings mapping of numpy arrays (or floats), broadcasting them.
+
+    The closure raises what ``evaluate`` raises, checking nodes in the same
+    left-to-right order: ``UnboundVariableError`` for a missing name and
+    ``DomainError``, naming the subexpression, where any element leaves the
+    domain.  Where ``evaluate`` would raise it never returns NaN or inf.
+    Arithmetic, powers, sin, cos and sqrt agree with ``evaluate`` bit for
+    bit; numpy's tan, exp, log, sinh, cosh and tanh may differ from
+    ``math`` in the last bit or two.  A tree without variables yields a
+    float.
+    """
+    run = _compile(expr)
+
+    def compiled(bindings: ArrayBindings) -> np.ndarray | float:
+        with np.errstate(all="ignore"):
+            return run(bindings)
+
+    return compiled
 
 
 def variables(expr: Expression) -> frozenset[str]:

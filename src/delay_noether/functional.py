@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -222,6 +222,21 @@ class Problem:
 
     def lagrangian_value(self, args: DelayedArgs) -> float:
         return ex.evaluate(self.lagrangian, args.bindings())
+
+    # Array-valued forms of L and its partials for whole-grid evaluation,
+    # compiled on first use.
+
+    @cached_property
+    def compiled_lagrangian(self) -> Callable:
+        return ex.compile(self.lagrangian)
+
+    @cached_property
+    def compiled_partial_u(self) -> list[list[Callable]]:
+        return [[ex.compile(node) for node in block] for block in self._partial_u]
+
+    @cached_property
+    def compiled_partial_v(self) -> list[list[Callable]]:
+        return [[ex.compile(node) for node in block] for block in self._partial_v]
 
 
 def gauss_nodes(

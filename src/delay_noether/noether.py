@@ -25,7 +25,7 @@ from .conditions import (
     SampleGrid,
     _analyze_samples,
     _residual_report,
-    block_term,
+    block_terms,
     psi,
     region_of,
     sample_times,
@@ -189,9 +189,9 @@ def invariance_residual(
     total = -_gauge_dot(problem, traj, sym, t, side)
     total += problem.partial(1, args) * ex.evaluate(sym.eta, bindings)
     total += problem.lagrangian_value(args) * ex.evaluate(sym.eta_dot, bindings)
+    coeffs = block_terms(problem, traj, range(problem.order + 1), t, region, side)
     for i in range(problem.order + 1):
-        coeff = block_term(problem, traj, i, t, region, side)
-        total += float(coeff @ _vector(sym.rho[i], bindings))
+        total += float(coeffs[i] @ _vector(sym.rho[i], bindings))
     return float(total)
 
 

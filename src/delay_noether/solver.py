@@ -4,11 +4,16 @@ The trajectory is discretized on a uniform grid of step h with the delay
 an exact multiple tau = k h, nodes running from t1 - tau to t2.  The action
 is approximated by the midpoint rule per cell, with derivatives replaced by
 forward differences; delayed values come from the node k cells back, so the
-discrete problem needs no interpolation.  Prehistory nodes and the terminal
-node are pinned; the free interior nodes are optimized by Polak-Ribiere+
-nonlinear conjugate gradients with an Armijo backtracking line search whose
-trial step comes from a directional curvature probe (exact minimizer when
-the action is quadratic, as for quadratic Lagrangians).
+discrete problem needs no interpolation.  The action and its gradient are
+evaluated on the whole grid at once: each argument of L is one array over
+all N cells (midpoints and forward differences of node slices, the same
+slices k rows back for the delayed arguments), fed to the compiled forms of
+L and its partials (``Problem.compiled_lagrangian`` and friends).
+Prehistory nodes and the terminal node are pinned; the free interior nodes
+are optimized by Polak-Ribiere+ nonlinear conjugate gradients with an
+Armijo backtracking line search whose trial step comes from a directional
+curvature probe (exact minimizer when the action is quadratic, as for
+quadratic Lagrangians).
 """
 
 from __future__ import annotations
@@ -49,8 +54,7 @@ class GridSpec:
 
     @classmethod
     def from_step(cls, problem: Problem, h: float) -> "GridSpec":
-        if problem.order != 1:
-            raise SolverError("direct transcription supports order 1 only")
+        _check_order(problem)
         if h <= 0:
             raise SolverError("step must be positive")
         k = round(problem.tau / h)
@@ -76,7 +80,13 @@ class GridSpec:
         )
 
 
+def _check_order(problem: Problem) -> None:
+    if problem.order != 1:
+        raise SolverError("direct transcription supports order 1 only")
+
+
 def _check_nodes(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> np.ndarray:
+    _check_order(problem)
     arr = np.asarray(nodes, dtype=float)
     if arr.shape != (grid.num_nodes, problem.dim):
         raise SolverError(
@@ -85,39 +95,37 @@ def _check_nodes(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> np.ndar
     return arr
 
 
-def _cell_bindings(
-    problem: Problem,
-    times: np.ndarray,
-    nodes: np.ndarray,
-    grid: GridSpec,
-    cell: int,
-) -> dict[str, float]:
-    h, k = grid.step, grid.delay_steps
-    bindings = {"t": float(times[cell] + 0.5 * h)}
+def _grid_bindings(
+    problem: Problem, nodes: np.ndarray, grid: GridSpec
+) -> dict[str, np.ndarray]:
+    """Arguments of L at the midpoints of all N cells, one array per name.
+
+    Cell j (j = k..k+N-1) spans nodes j and j + 1: midpoint values and
+    forward differences of those rows, and for the ``_tau`` names the same
+    of the rows k back."""
+    h, k, n = grid.step, grid.delay_steps, grid.cells
+    bindings = {"t": grid.node_times(problem)[k : k + n] + 0.5 * h}
     for i in range(problem.dim):
-        bindings[ex.coordinate_name(i, 0)] = 0.5 * float(nodes[cell, i] + nodes[cell + 1, i])
-        bindings[ex.coordinate_name(i, 1)] = float(nodes[cell + 1, i] - nodes[cell, i]) / h
-        bindings[ex.coordinate_name(i, 0, True)] = 0.5 * float(
-            nodes[cell - k, i] + nodes[cell - k + 1, i]
-        )
-        bindings[ex.coordinate_name(i, 1, True)] = (
-            float(nodes[cell - k + 1, i] - nodes[cell - k, i]) / h
-        )
+        for first, delayed in ((k, False), (0, True)):
+            left = nodes[first : first + n, i]
+            right = nodes[first + 1 : first + n + 1, i]
+            bindings[ex.coordinate_name(i, 0, delayed)] = 0.5 * (left + right)
+            bindings[ex.coordinate_name(i, 1, delayed)] = (right - left) / h
     return bindings
+
+
+def _per_cell(functions, bindings: dict[str, np.ndarray], cells: int) -> np.ndarray:
+    """Compiled expressions, one per coordinate, as a (cells, dim) array."""
+    return np.column_stack(
+        [np.broadcast_to(function(bindings), (cells,)) for function in functions]
+    )
 
 
 def discrete_action(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> float:
     """Midpoint-rule action of the piecewise-linear interpolant of ``nodes``."""
-    if problem.order != 1:
-        raise SolverError("direct transcription supports order 1 only")
     nodes = _check_nodes(problem, nodes, grid)
-    times = grid.node_times(problem)
-    k, n = grid.delay_steps, grid.cells
-    terms = []
-    for cell in range(k, k + n):
-        bindings = _cell_bindings(problem, times, nodes, grid, cell)
-        terms.append(grid.step * ex.evaluate(problem.lagrangian, bindings))
-    return math.fsum(terms)
+    values = problem.compiled_lagrangian(_grid_bindings(problem, nodes, grid))
+    return math.fsum(np.broadcast_to(grid.step * values, (grid.cells,)))
 
 
 def _pinned_mask(grid: GridSpec) -> np.ndarray:
@@ -128,29 +136,22 @@ def _pinned_mask(grid: GridSpec) -> np.ndarray:
 
 
 def discrete_gradient(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Exact gradient of the discrete action; pinned rows are zero."""
+    """Exact gradient of the discrete action; pinned rows are zero.
+
+    Cell j adds its L-partials to nodes j and j + 1 (through q, q') and to
+    nodes j - k and j - k + 1 (through q_tau, q'_tau).  The four slice
+    passes run in the order in which a loop over cells reaches each node,
+    so every row is summed in that order."""
     nodes = _check_nodes(problem, nodes, grid)
-    times = grid.node_times(problem)
     h, k, n = grid.step, grid.delay_steps, grid.cells
+    bindings = _grid_bindings(problem, nodes, grid)
+    du0, du1 = (_per_cell(fns, bindings, n) for fns in problem.compiled_partial_u[:2])
+    dv0, dv1 = (_per_cell(fns, bindings, n) for fns in problem.compiled_partial_v[:2])
     gradient = np.zeros_like(nodes)
-    for cell in range(k, k + n):
-        bindings = _cell_bindings(problem, times, nodes, grid, cell)
-        du0 = np.array(
-            [ex.evaluate(node, bindings) for node in problem._partial_u[0]]
-        )
-        du1 = np.array(
-            [ex.evaluate(node, bindings) for node in problem._partial_u[1]]
-        )
-        dv0 = np.array(
-            [ex.evaluate(node, bindings) for node in problem._partial_v[0]]
-        )
-        dv1 = np.array(
-            [ex.evaluate(node, bindings) for node in problem._partial_v[1]]
-        )
-        gradient[cell] += h * (0.5 * du0 - du1 / h)
-        gradient[cell + 1] += h * (0.5 * du0 + du1 / h)
-        gradient[cell - k] += h * (0.5 * dv0 - dv1 / h)
-        gradient[cell - k + 1] += h * (0.5 * dv0 + dv1 / h)
+    gradient[k + 1 : k + n + 1] += h * (0.5 * du0 + du1 / h)
+    gradient[k : k + n] += h * (0.5 * du0 - du1 / h)
+    gradient[1 : n + 1] += h * (0.5 * dv0 + dv1 / h)
+    gradient[:n] += h * (0.5 * dv0 - dv1 / h)
     gradient[_pinned_mask(grid)] = 0.0
     return gradient
 
@@ -189,8 +190,6 @@ def minimize(
     grad_tol: float = DEFAULT_GRAD_TOL,
 ) -> SolveResult:
     """Minimize the discrete action over the free interior nodes."""
-    if problem.order != 1:
-        raise SolverError("direct transcription supports order 1 only")
     nodes = _initial_nodes(problem, grid)
     if init is not None:
         supplied = _check_nodes(problem, init, grid)

@@ -1,6 +1,6 @@
 """Shared test utilities: random expression/trajectory generators, finite
-difference oracles, small fixture problems built by hand, and the
-acceptance-criteria result registry."""
+difference oracles, a per-cell transcription oracle, small fixture problems
+built by hand, and the acceptance-criteria result registry."""
 
 from __future__ import annotations
 
@@ -19,7 +19,14 @@ from delay_noether import (
     psi,
     region_of,
 )
-from delay_noether.expr import Binary, Constant, Expression, Unary, Variable
+from delay_noether.expr import (
+    Binary,
+    Constant,
+    Expression,
+    Unary,
+    Variable,
+    coordinate_name,
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -46,24 +53,28 @@ UNARY_OPS = ["neg", "sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "
 BINARY_OPS = ["add", "sub", "mul", "div"]
 
 
-def random_tree(rng: random.Random, names: list[str], depth: int) -> Expression:
+def random_tree(
+    rng: random.Random, names: list[str], depth: int, unary_ops=UNARY_OPS
+) -> Expression:
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return Constant(round(rng.uniform(-3.0, 3.0), 4))
         return Variable(rng.choice(names))
     roll = rng.random()
     if roll < 0.35:
-        return Unary(rng.choice(UNARY_OPS), random_tree(rng, names, depth - 1))
+        return Unary(
+            rng.choice(unary_ops), random_tree(rng, names, depth - 1, unary_ops)
+        )
     if roll < 0.45:
         return Binary(
             "pow",
-            random_tree(rng, names, depth - 1),
+            random_tree(rng, names, depth - 1, unary_ops),
             Constant(float(rng.choice([2, 3]))),
         )
     return Binary(
         rng.choice(BINARY_OPS),
-        random_tree(rng, names, depth - 1),
-        random_tree(rng, names, depth - 1),
+        random_tree(rng, names, depth - 1, unary_ops),
+        random_tree(rng, names, depth - 1, unary_ops),
     )
 
 
@@ -258,3 +269,56 @@ def psi_identity_residual(problem, traj, j: int, t: float, side: str = "right"):
         problem, traj, j - 1, t, region, side
     )
     return lhs - rhs
+
+
+def _cell_bindings(problem, times, nodes, grid, cell: int) -> dict[str, float]:
+    """Scalar arguments of L at the midpoint of one transcription cell."""
+    h, k = grid.step, grid.delay_steps
+    bindings = {"t": float(times[cell] + 0.5 * h)}
+    for i in range(problem.dim):
+        bindings[coordinate_name(i, 0)] = 0.5 * float(nodes[cell, i] + nodes[cell + 1, i])
+        bindings[coordinate_name(i, 1)] = float(nodes[cell + 1, i] - nodes[cell, i]) / h
+        bindings[coordinate_name(i, 0, True)] = 0.5 * float(
+            nodes[cell - k, i] + nodes[cell - k + 1, i]
+        )
+        bindings[coordinate_name(i, 1, True)] = (
+            float(nodes[cell - k + 1, i] - nodes[cell - k, i]) / h
+        )
+    return bindings
+
+
+def reference_action(problem, nodes, grid) -> float:
+    """Discrete action by a scalar loop over cells: the oracle for the
+    whole-grid ``solver.discrete_action``."""
+    times = grid.node_times(problem)
+    k, n = grid.delay_steps, grid.cells
+    terms = []
+    for cell in range(k, k + n):
+        bindings = _cell_bindings(problem, times, nodes, grid, cell)
+        terms.append(grid.step * evaluate(problem.lagrangian, bindings))
+    return math.fsum(terms)
+
+
+def reference_gradient(problem, nodes, grid) -> np.ndarray:
+    """Discrete gradient by a scalar loop over cells, each cell adding its
+    partials to its four nodes: the oracle for ``solver.discrete_gradient``."""
+    times = grid.node_times(problem)
+    h, k, n = grid.step, grid.delay_steps, grid.cells
+    gradient = np.zeros_like(nodes)
+
+    def block(exprs, bindings):
+        return np.array([evaluate(node, bindings) for node in exprs])
+
+    for cell in range(k, k + n):
+        bindings = _cell_bindings(problem, times, nodes, grid, cell)
+        du0 = block(problem._partial_u[0], bindings)
+        du1 = block(problem._partial_u[1], bindings)
+        dv0 = block(problem._partial_v[0], bindings)
+        dv1 = block(problem._partial_v[1], bindings)
+        gradient[cell] += h * (0.5 * du0 - du1 / h)
+        gradient[cell + 1] += h * (0.5 * du0 + du1 / h)
+        gradient[cell - k] += h * (0.5 * dv0 - dv1 / h)
+        gradient[cell - k + 1] += h * (0.5 * dv0 + dv1 / h)
+    gradient[: k + 1] = 0.0
+    gradient[-1] = 0.0
+    return gradient

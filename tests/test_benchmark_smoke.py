@@ -1,0 +1,22 @@
+"""The benchmark stays runnable: one short untraced run of the solver
+workload through ``benchmarks/run.py`` must check every answer correct."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_solve_workload_runs_and_is_correct():
+    completed = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", "solve-o1",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
+    assert result["metrics"]["op_s.p50"]["value"] > 0

@@ -13,6 +13,7 @@ from delay_noether import (
     ResidualReport,
     SampleGrid,
     block_term,
+    block_terms,
     check_el_differential,
     dbr_first_integral,
     effective_segment,
@@ -126,6 +127,15 @@ class TestRegions:
 
 
 class TestPsi:
+    def test_block_term_is_a_row_of_block_terms(self, problem, traj_el_only):
+        for t, region in ((0.5, 1), (2.5, 2)):
+            rows = block_terms(problem, traj_el_only, range(2), t, region)
+            assert rows.shape == (2, 1)
+            for k in range(2):
+                assert np.array_equal(
+                    rows[k], block_term(problem, traj_el_only, k, t, region)
+                )
+
     def test_block_term_golden_values(self, problem, traj_el_only):
         # d/du1 is zero in region 1 before the kink, the advanced d/dv1 is 4.
         assert block_term(problem, traj_el_only, 1, 0.5, 1) == pytest.approx([4.0])
@@ -295,6 +305,26 @@ class TestElIntegralCheck:
     def test_mode_validation(self, problem, traj_el_only):
         with pytest.raises(ValueError, match="mode"):
             el_first_integral(problem, traj_el_only, mode="piecewise")
+
+    @pytest.mark.parametrize("fixture", ["cubic_order2", "quintic_order3"])
+    def test_arguments_are_assembled_once_per_point(self, fixture, monkeypatch):
+        # One args(s) per Gauss node and sample, plus args(s + tau) in
+        # region 1, whatever the order: all m + 1 block terms share them.
+        prob, traj = getattr(helpers, fixture)()
+        calls = []
+        original = Problem.args
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Problem, "args", counted)
+        el_first_integral(prob, traj)
+        times = np.array([t for t, _ in sample_times(prob, traj)])
+        nodes, _ = gauss_nodes(prob, traj, (prob.t1, prob.t2), None, times)
+        points = np.concatenate([nodes, times])
+        expected = sum(1 + (region_of(prob, float(t)) == 1) for t in points)
+        assert len(calls) == expected == 3174
 
 
 class TestFoldedIntegral:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +25,11 @@ from delay_noether import (
 from delay_noether.expr import (
     Binary,
     Constant,
+    EvalError,
     Unary,
     Variable,
     check_vocabulary,
+    compile,
     coordinate_name,
     lagrangian_vocabulary,
     point_vocabulary,
@@ -220,6 +223,125 @@ def test_print_parse_preserves_values(tree, seed):
     actual = evaluate(parse(to_source(tree)), bindings)
     # bitwise identity: printing preserves the tree up to sign nodes
     assert actual == expected
+
+
+# Operations whose numpy form rounds exactly as ``evaluate`` does; numpy's
+# tan, exp, log, sinh, cosh and tanh may differ from math by an ulp or two.
+EXACT_UNARY_OPS = ["neg", "sin", "cos", "sqrt"]
+
+
+def _outcome(fn):
+    """(value, None) or (None, the EvalError raised)."""
+    try:
+        return fn(), None
+    except EvalError as error:
+        return None, error
+
+
+def _same_error(expected, actual):
+    assert type(actual) is type(expected)
+    assert str(actual) == str(expected)
+    assert getattr(actual, "source", None) == getattr(expected, "source", None)
+    assert getattr(actual, "name", None) == getattr(expected, "name", None)
+
+
+def _same_value(expected, actual, exact):
+    if exact or not math.isfinite(expected):
+        assert actual == expected or (math.isnan(actual) and math.isnan(expected))
+    else:
+        assert actual == pytest.approx(expected, rel=1e-12)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32), exact=st.booleans())
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_compile_agrees_with_evaluate(seed, exact):
+    rng = random.Random(seed)
+    names = ["t", "q0_d0", "q0_d1_tau", "unbound"]
+    tree = helpers.random_tree(
+        rng, names, 4, EXACT_UNARY_OPS if exact else helpers.UNARY_OPS
+    )
+    points = [{n: rng.uniform(-2.0, 2.0) for n in names[:3]} for _ in range(4)]
+    if rng.random() < 0.7:
+        for point in points:
+            point["unbound"] = rng.uniform(-2.0, 2.0)
+    compiled = compile(tree)
+    expected = [_outcome(lambda: evaluate(tree, point)) for point in points]
+
+    # One-point batches: the same value, or the same error naming the same
+    # subexpression (or variable).
+    for point, (value, error) in zip(points, expected):
+        batch = {n: np.array([v]) for n, v in point.items()}
+        actual, actual_error = _outcome(lambda: compiled(batch))
+        if error is not None:
+            _same_error(error, actual_error)
+        else:
+            assert actual_error is None
+            _same_value(value, float(np.broadcast_to(actual, (1,))[0]), exact)
+
+    # The whole batch raises if any point does, and never hands back a NaN
+    # or inf in place of an error.
+    batch = {n: np.array([p[n] for p in points]) for n in points[0]}
+    actual, actual_error = _outcome(lambda: compiled(batch))
+    if any(error is not None for _, error in expected):
+        assert actual_error is not None
+    else:
+        assert actual_error is None
+        for (value, _), got in zip(expected, np.broadcast_to(actual, (4,))):
+            _same_value(value, float(got), exact)
+
+
+class TestCompile:
+    @pytest.mark.parametrize(
+        "source, value, message, culprit",
+        [
+            ("1 + log(x)", 0.0, "log of non-positive value", "log(x)"),
+            ("sqrt(x - 1)", 0.5, "sqrt of negative value", "sqrt(x - 1)"),
+            ("2 / (x - 1)", 1.0, "division by zero", "2 / (x - 1)"),
+            ("x^0.5", -1.0, "invalid power", "x ^ 0.5"),
+            ("x^-1", 0.0, "invalid power", "x ^ -1"),
+            ("exp(x)", 1000.0, "exp out of range", "exp(x)"),
+            ("cosh(x)", -1000.0, "cosh out of range", "cosh(x)"),
+            ("sin(x)", math.inf, "sin out of range", "sin(x)"),
+        ],
+    )
+    def test_domain_errors_name_the_subexpression(
+        self, source, value, message, culprit
+    ):
+        tree = parse(source)
+        with pytest.raises(DomainError, match=message) as scalar:
+            evaluate(tree, {"x": value})
+        with pytest.raises(DomainError, match=message) as batch:
+            compile(tree)({"x": np.array([2.0, value, 3.0])})
+        assert batch.value.source == scalar.value.source == culprit
+
+    def test_unbound_variables_raise_in_evaluation_order(self):
+        compiled = compile(parse("y + log(x)"))
+        with pytest.raises(UnboundVariableError) as err:
+            compiled({"x": np.array([1.0])})
+        assert err.value.name == "y"
+        with pytest.raises(DomainError):  # log(x) is reached before z
+            compile(parse("log(x) * z"))({"x": np.array([-1.0])})
+
+    def test_broadcasts_arrays_and_floats(self):
+        compiled = compile(parse("q0_d0 * t + 2"))
+        out = compiled({"q0_d0": np.array([1.0, 2.0, 3.0]), "t": 0.5})
+        assert out.tolist() == [2.5, 3.0, 3.5]
+        assert compile(parse("2 * pi"))({}) == 2 * math.pi
+        assert compile(parse("x^2"))({"x": 3.0}) == 9.0
+
+    @pytest.mark.parametrize("exponent", [2.0, 3.0, 0.5, -1.5])
+    def test_powers_round_as_math_pow(self, exponent):
+        # libm's pow and numpy's power kernels (even its x * x for x^2)
+        # disagree in the last bit on a fraction of inputs.
+        x = np.random.default_rng(3).uniform(0.0, 5.0, 20000)
+        out = compile(Binary("pow", Variable("x"), Constant(exponent)))({"x": x})
+        assert out.tolist() == [math.pow(v, exponent) for v in x]
+
+    def test_overflow_in_arithmetic_is_a_value_as_in_evaluate(self):
+        # Python floats overflow to inf without raising, and so does numpy.
+        tree = parse("x * x")
+        assert evaluate(tree, {"x": 1e200}) == math.inf
+        assert compile(tree)({"x": np.array([1e200])})[0] == math.inf
 
 
 class TestVocabulary:

@@ -110,6 +110,84 @@ class TestDiscreteGradient:
         grad = discrete_gradient(problem, nodes, grid)
         assert np.max(np.abs(grad)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda prob, nodes, grid: discrete_action(prob, nodes, grid),
+            lambda prob, nodes, grid: discrete_gradient(prob, nodes, grid),
+            lambda prob, nodes, grid: discrete_first_variation(
+                prob, nodes, grid, np.zeros_like(nodes)
+            ),
+        ],
+        ids=["action", "gradient", "first-variation"],
+    )
+    def test_order_one_only(self, call):
+        # The gradient used to return zeros here while the action raised.
+        prob, _ = helpers.cubic_order2()
+        grid = GridSpec(0.25, 2, 8)
+        with pytest.raises(SolverError, match="order 1"):
+            call(prob, np.zeros((grid.num_nodes, 1)), grid)
+
+
+def coupled_problem():
+    """dim 2, one cell of delay (k = 1): L couples the coordinates through
+    sin and exp, so every block of partials is a non-trivial expression."""
+    prob = Problem.from_sources(
+        order=1,
+        dim=2,
+        t1=0.0,
+        t2=2.0,
+        tau=0.2,
+        lagrangian=(
+            "q0_d1^2 + sin(q1_d0) * q0_d1_tau + exp(q0_d0 * q1_d1_tau) / 4"
+            " + t * q1_d1^2 - q0_d0_tau * q1_d0_tau"
+        ),
+        prehistory=["sin(t)", "t^2"],
+        terminal_position=[1.0, -0.5],
+    )
+    return prob, GridSpec.from_step(prob, 0.2)
+
+
+class TestWholeGrid:
+    """The whole-grid action and gradient against the per-cell oracle."""
+
+    @pytest.mark.parametrize("h", [0.25, 0.05])
+    def test_bit_identical_on_the_bundle(self, problem, traj_el_only, traj_el_dbr, h):
+        grid = GridSpec.from_step(problem, h)
+        rng = np.random.default_rng(31)
+        free = free_rows(grid)
+        candidates = [
+            nodes_from(traj, problem, grid) for traj in (traj_el_only, traj_el_dbr)
+        ]
+        for _ in range(3):
+            nodes = candidates[0].copy()
+            nodes[free] += rng.uniform(-0.5, 0.5, (np.sum(free), 1))
+            candidates.append(nodes)
+        for nodes in candidates:
+            assert discrete_action(problem, nodes, grid) == helpers.reference_action(
+                problem, nodes, grid
+            )
+            assert np.array_equal(
+                discrete_gradient(problem, nodes, grid),
+                helpers.reference_gradient(problem, nodes, grid),
+            )
+
+    def test_coupled_two_dimensional_problem(self):
+        prob, grid = coupled_problem()
+        assert grid.delay_steps == 1
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            nodes = rng.uniform(-1.0, 1.0, (grid.num_nodes, 2))
+            assert discrete_action(prob, nodes, grid) == pytest.approx(
+                helpers.reference_action(prob, nodes, grid), rel=1e-13, abs=1e-13
+            )
+            np.testing.assert_allclose(
+                discrete_gradient(prob, nodes, grid),
+                helpers.reference_gradient(prob, nodes, grid),
+                rtol=1e-13,
+                atol=1e-13,
+            )
+
 
 class TestMinimize:
     def test_reaches_the_zero_action_minimizer(self, problem, traj_el_dbr):
