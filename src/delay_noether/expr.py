@@ -328,22 +328,15 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
         raise DomainError("invalid power", to_source(expr)) from None
 
 
-_NUMPY_FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    name: getattr(np, name) for name in _FUNCTIONS
-}
-# Powers call libm's pow per element, as ``evaluate`` does: numpy's power
-# kernels (and even its x * x for ^2) round differently from math.pow.
+# One-argument functions and powers call ``math`` per element, as
+# ``evaluate`` does, so compiled values equal its values bit for bit: numpy's
+# own kernels (even its x * x for x^2) may round differently from libm.
+_ELEMENTWISE = {name: np.frompyfunc(f, 1, 1) for name, f in _FUNCTIONS.items()}
 _POW = np.frompyfunc(math.pow, 2, 1)
 
 
-def _out_of_range(x, y) -> bool:
-    """CPython's rule for raising in a one-argument math function: a NaN
-    from a non-NaN argument or an infinity from a finite one."""
-    if np.isfinite(y).all():
-        return False
-    invalid = np.isnan(y) & ~np.isnan(x)
-    overflow = np.isinf(y) & np.isfinite(x)
-    return bool((invalid | overflow).any())
+def _as_float(value):
+    return value.astype(float) if isinstance(value, np.ndarray) else value
 
 
 def _compile(expr: Expression) -> Callable:
@@ -367,17 +360,17 @@ def _compile(expr: Expression) -> Callable:
         arg = _compile(expr.arg)
         if expr.op == "neg":
             return lambda bindings: -arg(bindings)
-        function = _NUMPY_FUNCTIONS[expr.op]
+        function = _ELEMENTWISE[expr.op]
         domain = _DOMAIN_CHECKS.get(expr.op)
 
         def unary(bindings):
             x = arg(bindings)
             if domain is not None and np.asarray(domain[0](x)).any():
                 raise DomainError(domain[1], to_source(expr))
-            y = function(x)
-            if _out_of_range(x, y):
-                raise DomainError(f"{expr.op} out of range", to_source(expr))
-            return y
+            try:
+                return _as_float(function(x))
+            except (ValueError, OverflowError):
+                raise DomainError(f"{expr.op} out of range", to_source(expr)) from None
 
         return unary
     left, right = _compile(expr.left), _compile(expr.right)
@@ -400,10 +393,9 @@ def _compile(expr: Expression) -> Callable:
     def power(bindings):
         base, exponent = left(bindings), right(bindings)
         try:
-            value = _POW(base, exponent)
+            return _as_float(_POW(base, exponent))
         except (ValueError, OverflowError, ZeroDivisionError):
             raise DomainError("invalid power", to_source(expr)) from None
-        return value.astype(float) if isinstance(value, np.ndarray) else value
 
     return power
 
@@ -415,14 +407,15 @@ def compile(expr: Expression) -> Callable[[ArrayBindings], np.ndarray | float]:
     """Compile ``expr`` once into a closure that evaluates it elementwise
     over a bindings mapping of numpy arrays (or floats), broadcasting them.
 
-    The closure raises what ``evaluate`` raises, checking nodes in the same
-    left-to-right order: ``UnboundVariableError`` for a missing name and
-    ``DomainError``, naming the subexpression, where any element leaves the
-    domain.  Where ``evaluate`` would raise it never returns NaN or inf.
-    Arithmetic, powers, sin, cos and sqrt agree with ``evaluate`` bit for
-    bit; numpy's tan, exp, log, sinh, cosh and tanh may differ from
-    ``math`` in the last bit or two.  A tree without variables yields a
-    float.
+    Values equal those of ``evaluate`` bit for bit.  Nodes are checked in
+    ``evaluate``'s left-to-right order, each over all elements at once: a
+    missing name raises ``UnboundVariableError``, and the first node that
+    leaves its domain at any element raises ``DomainError`` naming that
+    subexpression, so where ``evaluate`` would raise the closure never
+    returns NaN or inf.  On one point it raises exactly what ``evaluate``
+    raises; when several elements fail at different nodes it names the
+    first of those nodes, which need not be the one ``evaluate`` meets at
+    the first failing element.  A tree without variables yields a float.
     """
     run = _compile(expr)
 

@@ -53,28 +53,24 @@ UNARY_OPS = ["neg", "sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "
 BINARY_OPS = ["add", "sub", "mul", "div"]
 
 
-def random_tree(
-    rng: random.Random, names: list[str], depth: int, unary_ops=UNARY_OPS
-) -> Expression:
+def random_tree(rng: random.Random, names: list[str], depth: int) -> Expression:
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return Constant(round(rng.uniform(-3.0, 3.0), 4))
         return Variable(rng.choice(names))
     roll = rng.random()
     if roll < 0.35:
-        return Unary(
-            rng.choice(unary_ops), random_tree(rng, names, depth - 1, unary_ops)
-        )
+        return Unary(rng.choice(UNARY_OPS), random_tree(rng, names, depth - 1))
     if roll < 0.45:
         return Binary(
             "pow",
-            random_tree(rng, names, depth - 1, unary_ops),
+            random_tree(rng, names, depth - 1),
             Constant(float(rng.choice([2, 3]))),
         )
     return Binary(
         rng.choice(BINARY_OPS),
-        random_tree(rng, names, depth - 1, unary_ops),
-        random_tree(rng, names, depth - 1, unary_ops),
+        random_tree(rng, names, depth - 1),
+        random_tree(rng, names, depth - 1),
     )
 
 

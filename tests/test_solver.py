@@ -178,14 +178,12 @@ class TestWholeGrid:
         rng = np.random.default_rng(7)
         for _ in range(3):
             nodes = rng.uniform(-1.0, 1.0, (grid.num_nodes, 2))
-            assert discrete_action(prob, nodes, grid) == pytest.approx(
-                helpers.reference_action(prob, nodes, grid), rel=1e-13, abs=1e-13
+            assert discrete_action(prob, nodes, grid) == helpers.reference_action(
+                prob, nodes, grid
             )
-            np.testing.assert_allclose(
+            assert np.array_equal(
                 discrete_gradient(prob, nodes, grid),
                 helpers.reference_gradient(prob, nodes, grid),
-                rtol=1e-13,
-                atol=1e-13,
             )
 
 
