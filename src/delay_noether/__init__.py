@@ -70,11 +70,13 @@ from .noether import (
 )
 from .solver import (
     GridSpec,
+    NewtonStep,
     SolveResult,
     SolverError,
     discrete_action,
     discrete_first_variation,
     discrete_gradient,
+    discrete_hessian,
     minimize,
 )
 from .document import (

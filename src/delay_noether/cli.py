@@ -16,6 +16,7 @@ floats rendered by ``repr``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -33,7 +34,7 @@ from .conditions import (
 from .document import DocumentError, ProblemDocument, load_document
 from .functional import action
 from .noether import ConservationReport, check_conservation, check_invariance
-from .solver import DEFAULT_GRAD_TOL, GridSpec, minimize
+from .solver import DEFAULT_GRAD_TOL, GridSpec, NewtonStep, minimize
 from .trajectory import PiecewiseTrajectory
 
 
@@ -95,10 +96,17 @@ def _conservation_json(report: ConservationReport) -> dict:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
+    """Floats by ``repr``; Python ints (counts) stay ints."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(repr(float(cell)) for cell in row) + "\n")
+            handle.write(
+                ",".join(
+                    repr(cell) if isinstance(cell, int) else repr(float(cell))
+                    for cell in row
+                )
+                + "\n"
+            )
 
 
 def _samples_csv(path: str, times: np.ndarray, values: np.ndarray) -> None:
@@ -252,6 +260,13 @@ def cmd_minimize(args) -> int:
         header = ["t"] + [f"q{i}" for i in range(problem.dim)]
         rows = [[t, *result.nodes[i]] for i, t in enumerate(times)]
         _write_csv(args.csv, header, rows)
+    if args.trace:
+        header = ["iteration"] + [f.name for f in dataclasses.fields(NewtonStep)]
+        rows = [
+            [number, *dataclasses.astuple(step)]
+            for number, step in enumerate(result.history, start=1)
+        ]
+        _write_csv(args.trace, header, rows)
     if args.json:
         _print_json(payload)
     else:
@@ -358,6 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--max-iter", type=int, default=10000, metavar="N")
     p_min.add_argument("--out", metavar="PATH", help="write full result JSON to a file")
     p_min.add_argument("--csv", metavar="PATH", help="write solution nodes as CSV")
+    p_min.add_argument(
+        "--trace", metavar="PATH", help="write the per-iteration history as CSV"
+    )
     p_min.set_defaults(func=cmd_minimize)
 
     p_report = sub.add_parser("report", help="all checks plus a classification line")

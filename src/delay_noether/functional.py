@@ -238,6 +238,27 @@ class Problem:
     def compiled_partial_v(self) -> list[list[Callable]]:
         return [[ex.compile(node) for node in block] for block in self._partial_v]
 
+    @cached_property
+    def compiled_second_partials(self) -> dict[tuple[str, str], Callable]:
+        """d^2 L / da db over the values and first derivatives of every
+        coordinate, current and delayed (q{i}_d0, q{i}_d1, q{i}_d0_tau,
+        q{i}_d1_tau), keyed by (a, b).  Each unordered pair appears once,
+        as a d/db of the cached first partial in a; pairs whose second
+        partial is the constant 0 are left out."""
+        firsts = [
+            (ex.coordinate_name(i, k, delayed), block[k][i])
+            for block, delayed in ((self._partial_u, False), (self._partial_v, True))
+            for i in range(self.dim)
+            for k in range(2)
+        ]
+        seconds = {}
+        for index, (a, first) in enumerate(firsts):
+            for b, _ in firsts[index:]:
+                second = ex.diff(first, b)
+                if not ex._is_const(second, 0.0):
+                    seconds[a, b] = ex.compile(second)
+        return seconds
+
 
 def gauss_nodes(
     problem: Problem,

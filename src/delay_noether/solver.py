@@ -4,22 +4,24 @@ The trajectory is discretized on a uniform grid of step h with the delay
 an exact multiple tau = k h, nodes running from t1 - tau to t2.  The action
 is approximated by the midpoint rule per cell, with derivatives replaced by
 forward differences; delayed values come from the node k cells back, so the
-discrete problem needs no interpolation.  The action and its gradient are
-evaluated on the whole grid at once: each argument of L is one array over
-all N cells (midpoints and forward differences of node slices, the same
-slices k rows back for the delayed arguments), fed to the compiled forms of
-L and its partials (``Problem.compiled_lagrangian`` and friends).
-Prehistory nodes and the terminal node are pinned; the free interior nodes
-are optimized by Polak-Ribiere+ nonlinear conjugate gradients with an
-Armijo backtracking line search whose trial step comes from a directional
-curvature probe (exact minimizer when the action is quadratic, as for
-quadratic Lagrangians).
+discrete problem needs no interpolation.  The action, its gradient and its
+Hessian are evaluated on the whole grid at once: each argument of L is one
+array over all N cells (midpoints and forward differences of node slices,
+the same slices k rows back for the delayed arguments), fed to the compiled
+forms of L and its first and second partials (``Problem.compiled_lagrangian``
+and friends).  Prehistory nodes and the terminal node are pinned; the free
+interior nodes are optimized by Newton's method with the exact Hessian,
+factored by dense Cholesky (a Levenberg shift is added while the factorization
+fails) and damped by Armijo backtracking from the full step.  A quadratic
+Lagrangian gives a quadratic action, which one full step minimizes.  The
+Hessian is dense in effect: a cell couples nodes k apart, so its
+half-bandwidth k + 1 grows as h shrinks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,6 +158,60 @@ def discrete_gradient(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> np
     return gradient
 
 
+def discrete_hessian(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Exact Hessian of the discrete action, indexed like ``nodes.ravel()``;
+    pinned rows and columns are zero.  It is symmetric bit for bit.
+
+    In cell c (c = 0..N-1) each argument a of L is w_a0 x[o + c] +
+    w_a1 x[o + c + 1], with o = k for the current names and 0 for the
+    ``_tau`` ones, w = (1/2, 1/2) for values and (-1/h, 1/h) for forward
+    differences.  A pair (a, b) therefore adds h w_as w_bs' L_ab to the
+    entries (o_a + c + s, o_b + c + s') of all cells in one pass over a
+    diagonal, in which no entry repeats; its mirror pass follows it."""
+    nodes = _check_nodes(problem, nodes, grid)
+    h, k, n, dim = grid.step, grid.delay_steps, grid.cells, problem.dim
+    bindings = _grid_bindings(problem, nodes, grid)
+    cells = np.arange(n)
+    slots = {}
+    for i in range(dim):
+        for delayed, first in ((False, k), (True, 0)):
+            for order, weights in ((0, (0.5, 0.5)), (1, (-1.0 / h, 1.0 / h))):
+                slots[ex.coordinate_name(i, order, delayed)] = [
+                    ((first + side + cells) * dim + i, weight)
+                    for side, weight in enumerate(weights)
+                ]
+    hessian = np.zeros((nodes.size, nodes.size))
+    for (a, b), second in problem.compiled_second_partials.items():
+        values = h * np.broadcast_to(second(bindings), (n,))
+        for side_a, (rows, weight_a) in enumerate(slots[a]):
+            for side_b, (cols, weight_b) in enumerate(slots[b]):
+                if a == b and side_b < side_a:
+                    continue  # the mirror of the (0, 1) pass
+                contribution = (weight_a * weight_b) * values
+                hessian[rows, cols] += contribution
+                if a != b or side_a != side_b:
+                    hessian[cols, rows] += contribution
+    pinned = np.repeat(_pinned_mask(grid), dim)
+    hessian[pinned] = 0.0
+    hessian[:, pinned] = 0.0
+    return hessian
+
+
+@dataclass(frozen=True)
+class NewtonStep:
+    """One iteration of ``minimize``: the action and gradient sup-norm after
+    the step, the accepted step length and the halvings that found it, and
+    the Newton decrement sqrt(g . H^-1 g) and Levenberg shift of the shifted
+    Hessian H the step solved with."""
+
+    action: float
+    grad_norm: float
+    alpha: float
+    backtracks: int
+    decrement: float
+    shift: float
+
+
 @dataclass
 class SolveResult:
     nodes: np.ndarray
@@ -165,6 +221,7 @@ class SolveResult:
     iterations: int
     converged: bool
     message: str = ""
+    history: list[NewtonStep] = field(default_factory=list)
 
 
 def _initial_nodes(problem: Problem, grid: GridSpec) -> np.ndarray:
@@ -182,6 +239,44 @@ def _initial_nodes(problem: Problem, grid: GridSpec) -> np.ndarray:
     return nodes
 
 
+def _levenberg_cholesky(hessian: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``hessian`` + shift I, and the shift: 0 when
+    ``hessian`` factors, else the first of 1e-3 max|diag|, doubled, that
+    factors (Nocedal & Wright, Alg. 3.3).  Shifts ``hessian`` in place."""
+    if not np.all(np.isfinite(hessian)):
+        raise SolverError("Hessian of the discrete action is not finite")
+    diagonal = hessian.reshape(-1)[:: len(hessian) + 1]  # a writable view
+    floor = 1e-3 * (float(np.max(np.abs(diagonal))) or 1.0)
+    shift = 0.0
+    while True:
+        try:
+            return np.linalg.cholesky(hessian), shift
+        except np.linalg.LinAlgError:
+            grown = max(2.0 * shift, floor)
+            diagonal += grown - shift
+            shift = grown
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray, block: int = 128) -> np.ndarray:
+    """Solve factor @ factor.T @ x = rhs by blocked forward and back
+    substitution; numpy has no triangular solver, and a general solve would
+    factor the matrix a second time."""
+    x = np.array(rhs, dtype=float)
+    starts = range(0, len(x), block)
+    for lo in starts:
+        hi = lo + block
+        x[lo:hi] = np.linalg.solve(
+            factor[lo:hi, lo:hi], x[lo:hi] - factor[lo:hi, :lo] @ x[:lo]
+        )
+    upper = factor.T
+    for lo in reversed(starts):
+        hi = lo + block
+        x[lo:hi] = np.linalg.solve(
+            upper[lo:hi, lo:hi], x[lo:hi] - upper[lo:hi, hi:] @ x[hi:]
+        )
+    return x
+
+
 def minimize(
     problem: Problem,
     grid: GridSpec,
@@ -189,84 +284,60 @@ def minimize(
     max_iter: int = 10000,
     grad_tol: float = DEFAULT_GRAD_TOL,
 ) -> SolveResult:
-    """Minimize the discrete action over the free interior nodes."""
+    """Minimize the discrete action over the free interior nodes by damped
+    Newton steps; ``history`` holds one ``NewtonStep`` per iteration."""
+    if max_iter < 0:
+        raise SolverError(f"max_iter must be non-negative, got {max_iter}")
     nodes = _initial_nodes(problem, grid)
+    free_rows = ~_pinned_mask(grid)
     if init is not None:
         supplied = _check_nodes(problem, init, grid)
-        free_rows = ~_pinned_mask(grid)
         nodes[free_rows] = supplied[free_rows]
-
-    def value(current: np.ndarray) -> float:
-        return discrete_action(problem, current, grid)
-
-    def gradient(current: np.ndarray) -> np.ndarray:
-        return discrete_gradient(problem, current, grid)
+    free = np.repeat(free_rows, problem.dim)
 
     def sup_norm(array: np.ndarray) -> float:
         return float(np.max(np.abs(array))) if array.size else 0.0
 
-    g = gradient(nodes)
-    iterations = 0
+    phi = discrete_action(problem, nodes, grid)
+    g = discrete_gradient(problem, nodes, grid)
+    history = []
     converged = sup_norm(g) <= grad_tol
     message = "gradient already below tolerance" if converged else ""
-    direction = -g
-    alpha_prev = 1.0
 
-    while not converged and iterations < max_iter:
+    while not converged and len(history) < max_iter:
+        hessian = discrete_hessian(problem, nodes, grid)[np.ix_(free, free)]
+        factor, shift = _levenberg_cholesky(hessian)
+        direction = np.zeros_like(nodes)
+        direction.reshape(-1)[free] = -_cholesky_solve(factor, g.reshape(-1)[free])
         slope = float(np.vdot(g, direction))
-        if slope >= 0:
-            direction = -g
-            slope = float(np.vdot(g, direction))
-        # Curvature probe along the direction seeds the trial step; for a
-        # quadratic action this lands on the exact line minimizer.
-        sigma = 1e-4 * (1.0 + sup_norm(nodes)) / (1.0 + sup_norm(direction))
-        probe = gradient(nodes + sigma * direction)
-        curvature = float(np.vdot(probe - g, direction)) / sigma
-        if curvature > 0:
-            alpha = -slope / curvature
-        else:
-            alpha = alpha_prev
-        phi0 = value(nodes)
-        for _ in range(60):
+        alpha = 1.0
+        for backtracks in range(60):
             trial = nodes + alpha * direction
-            if value(trial) <= phi0 + 1e-4 * alpha * slope:
+            trial_phi = discrete_action(problem, trial, grid)
+            if trial_phi <= phi + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
-            return SolveResult(
-                nodes,
-                _reconstruct(problem, grid, nodes),
-                phi0,
-                sup_norm(g),
-                iterations,
-                False,
-                "line search failed to satisfy the Armijo condition",
-            )
-        alpha_prev = alpha
-        nodes = nodes + alpha * direction
-        g_new = gradient(nodes)
-        iterations += 1
-        if sup_norm(g_new) <= grad_tol:
-            g = g_new
-            converged = True
+            message = "line search failed to satisfy the Armijo condition"
             break
-        beta = max(
-            0.0,
-            float(np.vdot(g_new, g_new - g)) / float(np.vdot(g, g)),
+        nodes, phi = trial, trial_phi
+        g = discrete_gradient(problem, nodes, grid)
+        history.append(
+            NewtonStep(phi, sup_norm(g), alpha, backtracks, math.sqrt(-slope), shift)
         )
-        direction = -g_new + beta * direction
-        g = g_new
+        converged = sup_norm(g) <= grad_tol
 
     if not message:
         message = "converged" if converged else "iteration limit reached"
     return SolveResult(
         nodes,
         _reconstruct(problem, grid, nodes),
-        value(nodes),
+        phi,
         sup_norm(g),
-        iterations,
+        len(history),
         converged,
         message,
+        history,
     )
 
 

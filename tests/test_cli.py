@@ -192,6 +192,34 @@ class TestMinimize:
         assert code == 2
         assert "whole number" in err
 
+    def test_negative_iteration_limit_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "minimize", BUNDLE, "--h", "0.25", "--max-iter", "-3"
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_iter must be non-negative" in err
+
+    def test_trace_csv(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        code, out, _ = run(
+            capsys, "minimize", BUNDLE, "--h", "0.25", "--json", "--trace", str(path)
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "action", "grad_norm", "iterations", "converged", "message",
+            "times", "nodes", "trajectory",
+        }
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "iteration,action,grad_norm,alpha,backtracks,decrement,shift"
+        assert len(lines) == 1 + payload["iterations"]
+        last = lines[-1].split(",")
+        assert last[0] == str(payload["iterations"])
+        assert float(last[1]) == payload["action"]
+        assert float(last[2]) == payload["grad_norm"]
+        assert last[4] == "0"
+
 
 class TestReport:
     def test_classification_of_the_kinked_extremal(self, capsys):

@@ -9,9 +9,10 @@ from delay_noether import (
     discrete_action,
     discrete_first_variation,
     discrete_gradient,
+    discrete_hessian,
     minimize,
 )
-from delay_noether.solver import _pinned_mask
+from delay_noether.solver import _initial_nodes, _pinned_mask
 
 
 def nodes_from(traj, problem, grid):
@@ -115,11 +116,12 @@ class TestDiscreteGradient:
         [
             lambda prob, nodes, grid: discrete_action(prob, nodes, grid),
             lambda prob, nodes, grid: discrete_gradient(prob, nodes, grid),
+            lambda prob, nodes, grid: discrete_hessian(prob, nodes, grid),
             lambda prob, nodes, grid: discrete_first_variation(
                 prob, nodes, grid, np.zeros_like(nodes)
             ),
         ],
-        ids=["action", "gradient", "first-variation"],
+        ids=["action", "gradient", "hessian", "first-variation"],
     )
     def test_order_one_only(self, call):
         # The gradient used to return zeros here while the action raised.
@@ -185,6 +187,76 @@ class TestWholeGrid:
                 discrete_gradient(prob, nodes, grid),
                 helpers.reference_gradient(prob, nodes, grid),
             )
+
+
+def section3_problem(lagrangian):
+    """The bundle's Section 3 data (prehistory -t, q(3) = 1, tau = 1) with
+    another Lagrangian."""
+    return Problem.from_sources(
+        order=1,
+        dim=1,
+        t1=0.0,
+        t2=3.0,
+        tau=1.0,
+        lagrangian=lagrangian,
+        prehistory=["-t"],
+        terminal_position=[1.0],
+    )
+
+
+def free_block(matrix, grid, dim=1):
+    free = np.repeat(free_rows(grid), dim)
+    return matrix[np.ix_(free, free)]
+
+
+class TestDiscreteHessian:
+    def test_matches_the_gradient_difference_hessian(self, problem):
+        # The unit-probe Hessian of test_matches_a_normal_equations_oracle;
+        # the action is quadratic, so the differences are exact.
+        grid = GridSpec.from_step(problem, 0.25)
+        free = free_rows(grid)
+        x0_nodes = minimize(problem, grid, max_iter=0).nodes
+        g0 = discrete_gradient(problem, x0_nodes, grid)[free].ravel()
+        n_free = g0.size
+        oracle = np.zeros((n_free, n_free))
+        for j in range(n_free):
+            probe = x0_nodes.copy()
+            probe[free] += np.eye(n_free)[j].reshape(-1, 1)
+            oracle[:, j] = discrete_gradient(problem, probe, grid)[free].ravel() - g0
+        hessian = discrete_hessian(problem, x0_nodes, grid)
+        assert np.max(np.abs(free_block(hessian, grid) - oracle)) <= 1e-12
+
+    def test_symmetric_bit_for_bit_with_zero_pinned_rows(self, problem):
+        double_well = section3_problem("(q0_d1^2 - 1)^2 + q0_d1_tau^2")
+        rng = np.random.default_rng(17)
+        for prob, grid in (
+            (problem, GridSpec.from_step(problem, 0.05)),
+            coupled_problem(),
+            (double_well, GridSpec.from_step(double_well, 0.25)),
+        ):
+            nodes = rng.uniform(-1.0, 1.0, (grid.num_nodes, prob.dim))
+            hessian = discrete_hessian(prob, nodes, grid)
+            assert hessian.shape == (nodes.size, nodes.size)
+            assert np.array_equal(hessian, hessian.T)
+            pinned = np.repeat(_pinned_mask(grid), prob.dim)
+            assert not np.any(hessian[pinned]) and not np.any(hessian[:, pinned])
+
+    def test_matches_central_differences_on_the_coupled_problem(self):
+        prob, grid = coupled_problem()
+        rng = np.random.default_rng(3)
+        nodes = rng.uniform(-1.0, 1.0, (grid.num_nodes, 2))
+        free = np.repeat(free_rows(grid), 2)
+        eps = 1e-5
+        columns = []
+        for index in np.flatnonzero(free):
+            probe = np.zeros_like(nodes)
+            probe.flat[index] = eps
+            plus = discrete_gradient(prob, nodes + probe, grid).ravel()
+            minus = discrete_gradient(prob, nodes - probe, grid).ravel()
+            columns.append((plus - minus)[free] / (2 * eps))
+        central = np.column_stack(columns)
+        hessian = free_block(discrete_hessian(prob, nodes, grid), grid, 2)
+        assert np.max(np.abs(hessian - central)) <= 1e-6 * np.max(np.abs(hessian))
 
 
 class TestMinimize:
@@ -254,6 +326,66 @@ class TestMinimize:
         prob, _ = helpers.cubic_order2()
         with pytest.raises(SolverError, match="order 1"):
             minimize(prob, GridSpec(0.25, 2, 8))
+
+    def test_negative_iteration_limit_is_rejected(self, problem):
+        grid = GridSpec.from_step(problem, 0.25)
+        with pytest.raises(SolverError, match="max_iter"):
+            minimize(problem, grid, max_iter=-3)
+
+    @pytest.mark.parametrize("h", [0.25, 0.05, 0.01, 0.0025])
+    def test_quadratic_action_takes_at_most_two_steps(self, problem, traj_el_dbr, h):
+        # Conjugate gradients took 13, 104, 626 and 2,590 iterations here.
+        grid = GridSpec.from_step(problem, h)
+        result = minimize(problem, grid)
+        assert result.converged
+        assert result.iterations <= 2
+        sawtooth = nodes_from(traj_el_dbr, problem, grid)
+        assert np.max(np.abs(result.nodes - sawtooth)) <= 1e-10
+
+    def test_history_records_every_iteration(self, problem):
+        grid = GridSpec.from_step(problem, 0.05)
+        result = minimize(problem, grid)
+        assert len(result.history) == result.iterations == 1
+        (step,) = result.history
+        assert (step.action, step.grad_norm) == (result.action, result.grad_norm)
+        assert (step.alpha, step.backtracks, step.shift) == (1.0, 0, 0.0)
+        # The action is quadratic with minimum 0, so it starts at lambda^2 / 2.
+        start = discrete_action(problem, _initial_nodes(problem, grid), grid)
+        assert step.decrement**2 / 2 == pytest.approx(start, rel=1e-12)
+
+    def test_levenberg_shift_on_an_indefinite_hessian(self):
+        prob = section3_problem("(q0_d1^2 - 1)^2 + q0_d1_tau^2")
+        grid = GridSpec.from_step(prob, 0.25)
+        start = _initial_nodes(prob, grid)
+        hessian = free_block(discrete_hessian(prob, start, grid), grid)
+        assert np.linalg.eigvalsh(hessian)[0] == pytest.approx(-37.8444, abs=1e-4)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(hessian)
+        result = minimize(prob, grid)
+        assert result.converged and result.grad_norm <= 1e-9
+        actions = [discrete_action(prob, start, grid)]
+        actions += [step.action for step in result.history]
+        assert all(later <= earlier for earlier, later in zip(actions, actions[1:]))
+        assert result.history[0].shift > 0.0
+        assert result.history[-1].shift == 0.0
+
+    def test_non_finite_hessian_is_an_error(self):
+        # 2e308 overflows: no shift could make the factorization succeed.
+        prob = section3_problem("1e308 * q0_d1^2 + q0_d1_tau^2")
+        with np.errstate(all="ignore"), pytest.raises(SolverError, match="not finite"):
+            minimize(prob, GridSpec.from_step(prob, 0.25))
+
+    def test_convex_non_quadratic_lagrangian(self, traj_el_dbr):
+        # cosh(q' + q'_tau) >= 1 with equality on the sawtooth: action 3.
+        prob = section3_problem("cosh(q0_d1 + q0_d1_tau)")
+        grid = GridSpec.from_step(prob, 0.25)
+        result = minimize(prob, grid)
+        assert result.converged
+        assert result.iterations == 3
+        assert all(step.shift == 0.0 for step in result.history)
+        assert result.action == pytest.approx(3.0, abs=1e-12)
+        sawtooth = nodes_from(traj_el_dbr, prob, grid)
+        assert np.max(np.abs(result.nodes - sawtooth)) <= 1e-10
 
 
 class TestFirstVariation:
