@@ -10,12 +10,13 @@ array over all N cells (midpoints and forward differences of node slices,
 the same slices k rows back for the delayed arguments), fed to the compiled
 forms of L and its first and second partials (``Problem.compiled_lagrangian``
 and friends).  Prehistory nodes and the terminal node are pinned; the free
-interior nodes are optimized by Newton's method with the exact Hessian,
-factored by dense Cholesky (a Levenberg shift is added while the factorization
-fails) and damped by Armijo backtracking from the full step.  A quadratic
-Lagrangian gives a quadratic action, which one full step minimizes.  The
-Hessian is dense in effect: a cell couples nodes k apart, so its
-half-bandwidth k + 1 grows as h shrinks.
+interior nodes are optimized by Newton's method with the exact Hessian (a
+Levenberg shift is added while dense Cholesky fails to factor it, then one
+dense solve gives the step), damped by Armijo backtracking from the full
+step.  A quadratic Lagrangian gives a quadratic action, which one full step
+minimizes.  The Hessian is dense in effect: a cell couples nodes k apart, so
+its half-bandwidth k + 1 grows as h shrinks, and its memory grows as the
+square of the node count.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class SolverError(ValueError):
 
 _COMMENSURATE_TOL = 1e-12
 DEFAULT_GRAD_TOL = 1e-9  # stopping tolerance on the gradient's sup-norm
+MAX_NEWTON_UNKNOWNS = 4096  # node coordinates; a dense Hessian is 128 MiB here
 
 
 @dataclass(frozen=True)
@@ -239,10 +241,10 @@ def _initial_nodes(problem: Problem, grid: GridSpec) -> np.ndarray:
     return nodes
 
 
-def _levenberg_cholesky(hessian: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``hessian`` + shift I, and the shift: 0 when
-    ``hessian`` factors, else the first of 1e-3 max|diag|, doubled, that
-    factors (Nocedal & Wright, Alg. 3.3).  Shifts ``hessian`` in place."""
+def _levenberg_shift(hessian: np.ndarray) -> float:
+    """Shift ``hessian`` in place by shift I until Cholesky factors it, and
+    return the shift: 0 when it factors as given, else the first of
+    1e-3 max|diag|, doubled, that factors (Nocedal & Wright, Alg. 3.3)."""
     if not np.all(np.isfinite(hessian)):
         raise SolverError("Hessian of the discrete action is not finite")
     diagonal = hessian.reshape(-1)[:: len(hessian) + 1]  # a writable view
@@ -250,31 +252,12 @@ def _levenberg_cholesky(hessian: np.ndarray) -> tuple[np.ndarray, float]:
     shift = 0.0
     while True:
         try:
-            return np.linalg.cholesky(hessian), shift
+            np.linalg.cholesky(hessian)
+            return shift
         except np.linalg.LinAlgError:
             grown = max(2.0 * shift, floor)
             diagonal += grown - shift
             shift = grown
-
-
-def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray, block: int = 128) -> np.ndarray:
-    """Solve factor @ factor.T @ x = rhs by blocked forward and back
-    substitution; numpy has no triangular solver, and a general solve would
-    factor the matrix a second time."""
-    x = np.array(rhs, dtype=float)
-    starts = range(0, len(x), block)
-    for lo in starts:
-        hi = lo + block
-        x[lo:hi] = np.linalg.solve(
-            factor[lo:hi, lo:hi], x[lo:hi] - factor[lo:hi, :lo] @ x[:lo]
-        )
-    upper = factor.T
-    for lo in reversed(starts):
-        hi = lo + block
-        x[lo:hi] = np.linalg.solve(
-            upper[lo:hi, lo:hi], x[lo:hi] - upper[lo:hi, hi:] @ x[hi:]
-        )
-    return x
 
 
 def minimize(
@@ -285,9 +268,19 @@ def minimize(
     grad_tol: float = DEFAULT_GRAD_TOL,
 ) -> SolveResult:
     """Minimize the discrete action over the free interior nodes by damped
-    Newton steps; ``history`` holds one ``NewtonStep`` per iteration."""
+    Newton steps; ``history`` holds one ``NewtonStep`` per iteration.
+
+    Each step holds a few dense Hessians of num_nodes * dim squared floats,
+    so grids with more than ``MAX_NEWTON_UNKNOWNS`` node coordinates are
+    refused with ``SolverError``."""
     if max_iter < 0:
         raise SolverError(f"max_iter must be non-negative, got {max_iter}")
+    unknowns = grid.num_nodes * problem.dim
+    if unknowns > MAX_NEWTON_UNKNOWNS:
+        raise SolverError(
+            f"grid has {unknowns} node coordinates; the dense Newton Hessian "
+            f"allows at most {MAX_NEWTON_UNKNOWNS} (use a larger step)"
+        )
     nodes = _initial_nodes(problem, grid)
     free_rows = ~_pinned_mask(grid)
     if init is not None:
@@ -306,9 +299,9 @@ def minimize(
 
     while not converged and len(history) < max_iter:
         hessian = discrete_hessian(problem, nodes, grid)[np.ix_(free, free)]
-        factor, shift = _levenberg_cholesky(hessian)
+        shift = _levenberg_shift(hessian)
         direction = np.zeros_like(nodes)
-        direction.reshape(-1)[free] = -_cholesky_solve(factor, g.reshape(-1)[free])
+        direction.reshape(-1)[free] = -np.linalg.solve(hessian, g.reshape(-1)[free])
         slope = float(np.vdot(g, direction))
         alpha = 1.0
         for backtracks in range(60):

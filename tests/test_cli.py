@@ -200,6 +200,12 @@ class TestMinimize:
         assert out == ""
         assert "max_iter must be non-negative" in err
 
+    def test_grid_too_fine_for_newton_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "minimize", BUNDLE, "--h", "0.0005")
+        assert code == 2
+        assert out == ""
+        assert "8001 node coordinates" in err
+
     def test_trace_csv(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, out, _ = run(

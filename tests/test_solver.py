@@ -12,7 +12,7 @@ from delay_noether import (
     discrete_hessian,
     minimize,
 )
-from delay_noether.solver import _initial_nodes, _pinned_mask
+from delay_noether.solver import MAX_NEWTON_UNKNOWNS, _initial_nodes, _pinned_mask
 
 
 def nodes_from(traj, problem, grid):
@@ -331,6 +331,14 @@ class TestMinimize:
         grid = GridSpec.from_step(problem, 0.25)
         with pytest.raises(SolverError, match="max_iter"):
             minimize(problem, grid, max_iter=-3)
+
+    def test_grid_past_the_dense_hessian_limit_is_rejected(self, problem):
+        grid = GridSpec.from_step(problem, 0.0005)  # 8001 nodes on [-1, 3]
+        assert grid.num_nodes * problem.dim > MAX_NEWTON_UNKNOWNS
+        with pytest.raises(SolverError, match="8001 node coordinates"):
+            minimize(problem, grid)
+        edge = GridSpec.from_step(problem, 0.001)  # 4001 nodes: still allowed
+        assert edge.num_nodes * problem.dim <= MAX_NEWTON_UNKNOWNS
 
     @pytest.mark.parametrize("h", [0.25, 0.05, 0.01, 0.0025])
     def test_quadratic_action_takes_at_most_two_steps(self, problem, traj_el_dbr, h):
