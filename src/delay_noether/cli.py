@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from typing import Sequence
@@ -177,62 +178,39 @@ def cmd_check(args) -> int:
     grid = SampleGrid(points=args.grid)
     tol = doc.first_integral_tol()
     problem = doc.problem
+    if args.which in ("invariance", "noether") and doc.symmetry is None:
+        raise DocumentError("document has no symmetry block")
 
     if args.which == "el":
         report = check_el_differential(problem, traj, grid, tol)
-        payload = _residual_json(report)
-        samples = (report.times, report.values)
-        text = (
-            f"Euler-Lagrange residual: max |r| = {report.max_abs:.3e} over "
-            f"{report.times.size} samples (tol {report.tol:g}): "
-            f"{'holds' if report.verdict else 'FAILS'}"
-        )
-        verdict = report.verdict
     elif args.which == "el-integral":
         report = el_first_integral(problem, traj, args.mode, grid, doc.quadrature, tol)
-        payload = _first_integral_json(report)
-        samples = (report.times, report.values)
-        text = None
-        verdict = report.verdict
     elif args.which == "dbr":
         report = dbr_first_integral(problem, traj, grid, doc.quadrature, tol)
-        payload = _first_integral_json(report)
-        samples = (report.times, report.values)
-        text = None
-        verdict = report.verdict
     elif args.which == "invariance":
-        if doc.symmetry is None:
-            raise DocumentError("document has no symmetry block")
         report = check_invariance(problem, traj, doc.symmetry, grid, tol)
-        payload = _residual_json(report)
-        samples = (report.times, report.values)
-        text = (
-            f"invariance residual: max |r| = {report.max_abs:.3e} over "
+    else:  # noether
+        report = check_conservation(problem, traj, doc.symmetry, grid, tol)
+    sampled = report.charge if args.which == "noether" else report
+
+    if args.csv:
+        _samples_csv(args.csv, sampled.times, sampled.values)
+    if args.json:
+        to_json = {"el": _residual_json, "invariance": _residual_json,
+                   "noether": _conservation_json}
+        _print_json(to_json.get(args.which, _first_integral_json)(report))
+    elif isinstance(report, ResidualReport):
+        label = "Euler-Lagrange" if args.which == "el" else "invariance"
+        print(
+            f"{label} residual: max |r| = {report.max_abs:.3e} over "
             f"{report.times.size} samples (tol {report.tol:g}): "
             f"{'holds' if report.verdict else 'FAILS'}"
         )
-        verdict = report.verdict
-    else:  # noether
-        if doc.symmetry is None:
-            raise DocumentError("document has no symmetry block")
-        conservation = check_conservation(problem, traj, doc.symmetry, grid, tol)
-        payload = _conservation_json(conservation)
-        samples = (conservation.charge.times, conservation.charge.values)
-        text = None
-        verdict = conservation.verdict
-
-    if args.csv:
-        _samples_csv(args.csv, *samples)
-    if args.json:
-        _print_json(payload)
-    elif text is not None:
-        print(text)
-    elif args.which == "noether":
-        _print_first_integral(conservation.charge)
-        print(f"junction gap: {conservation.junction_gap:.3e} (not part of verdict)")
     else:
-        _print_first_integral(report)
-    return 0 if verdict else 1
+        _print_first_integral(sampled)
+        if args.which == "noether":
+            print(f"junction gap: {report.junction_gap:.3e} (not part of verdict)")
+    return 0 if report.verdict else 1
 
 
 def cmd_minimize(args) -> int:
@@ -319,7 +297,9 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="delay-noether",
         description="Verify necessary conditions and conservation laws for "
@@ -327,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, trajectory=True):
+    def add_common(p, trajectory=True, grid=False):
         p.add_argument("file", help="problem document (JSON)")
         if trajectory:
             p.add_argument(
@@ -336,6 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="trajectory variant to use (default: the document's default)",
             )
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
+        if grid:
+            p.add_argument(
+                "--grid", type=int, default=200, metavar="N",
+                help="sample budget, at least one per effective segment (default 200)",
+            )
 
     p_action = sub.add_parser("action", help="evaluate the action functional")
     add_common(p_action)
@@ -345,11 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "which", choices=["el", "el-integral", "dbr", "invariance", "noether"]
     )
-    add_common(p_check)
-    p_check.add_argument(
-        "--grid", type=int, default=200, metavar="N",
-        help="sample budget, at least one per effective segment (default 200)",
-    )
+    add_common(p_check, grid=True)
     p_check.add_argument(
         "--mode",
         choices=["regional", "global"],
@@ -379,11 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.set_defaults(func=cmd_minimize)
 
     p_report = sub.add_parser("report", help="all checks plus a classification line")
-    add_common(p_report)
-    p_report.add_argument(
-        "--grid", type=int, default=200, metavar="N",
-        help="sample budget, at least one per effective segment (default 200)",
-    )
+    add_common(p_report, grid=True)
     p_report.set_defaults(func=cmd_report)
 
     return parser

@@ -12,12 +12,15 @@ they do not).  This module evaluates, along a candidate trajectory:
 
 The integral-form and DuBois-Reymond checks each integrate on one Gauss
 table (``functional.gauss_nodes``) whose panels end at the effective
-breakpoints and at the sample times, evaluating integrands once per node.
+breakpoints and at the sample times.
 
 Time derivatives are exact: trajectories are piecewise polynomials and L
 is symbolic, so the total derivatives inside psi^j are expressions
-(``expr.total_derivative``) evaluated one-sided at the sample time, never
-finite differences.
+(``expr.total_derivative``), never finite differences.  Every check
+evaluates them batched: the arguments at all its sample times (or Gauss
+nodes) are assembled at once, and at t + tau for those in region 1, and
+each compiled expression runs once over them.  ``psi``, ``block_terms``
+and ``el_residual_differential`` are one-point forms.
 """
 
 from __future__ import annotations
@@ -28,34 +31,32 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import evaluate
 # Re-exported: benchmarks/tracing.py wraps conditions.total_derivative by name.
-from .expr import total_derivative  # noqa: F401
+from .expr import coordinate_name, total_derivative  # noqa: F401
 from .functional import (
     FunctionalError,
     Problem,
     QuadratureSpec,
+    columns,
     gauss_nodes,
 )
 from .trajectory import (
     _SNAP_FRACTION,
     PiecewiseTrajectory,
-    delayed_args,
     effective_breakpoints,
     locate,
     subsegments,
 )
 
 
-def region_of(problem: Problem, t: float, side: str = "right") -> int:
+def region_of(problem: Problem, t, side: str = "right"):
     """1 on [t1, t2 - tau), 2 on (t2 - tau, t2]; the side picks the limit
-    taken exactly at the junction."""
+    taken exactly at the junction.  An array of regions for an array t."""
     snap = _SNAP_FRACTION * (problem.t2 - (problem.t1 - problem.tau))
-    if t < problem.junction - snap:
-        return 1
-    if t > problem.junction + snap:
-        return 2
-    return 1 if side == "left" else 2
+    t, junction = np.asarray(t, dtype=float), problem.junction
+    first = t <= junction + snap if side == "left" else t < junction - snap
+    region = np.where(first, 1, 2)
+    return region if region.ndim else int(region)
 
 
 def effective_segment(
@@ -69,8 +70,58 @@ def effective_segment(
     snap = traj.snap
     if t < cuts[0] - snap or t > cuts[-1] + snap:
         raise FunctionalError(f"t={t!r} outside [t1, t2]")
-    index = locate(cuts, t, side, snap)
+    index = int(locate(cuts, t, side, snap))
     return float(cuts[index]), float(cuts[index + 1])
+
+
+class _Arguments:
+    """The arguments at the times ``ts`` and, on the rows in region 1
+    (``regions``, by default ``region_of`` each time), at ts + tau, with
+    derivatives up to ``depth``, all as ``side`` limits.  The methods
+    evaluate compiled expressions at all rows at once."""
+
+    def __init__(self, problem, traj, ts, depth, side="right", regions=None):
+        ts = np.asarray(ts, dtype=float)
+        if regions is None:
+            regions = region_of(problem, ts, side)
+        self.problem = problem
+        self.regions = np.broadcast_to(regions, ts.shape)
+        self.first = self.regions == 1
+        self.here = problem.bindings(traj, ts, depth, side)
+        self.ahead = problem.bindings(traj, ts[self.first] + problem.tau, depth, side)
+
+    def value(self, function) -> np.ndarray:
+        return columns([function], self.here)[:, 0]
+
+    def total(self, current, advanced) -> np.ndarray:
+        """``current`` at args(t) plus, on the region-1 rows, ``advanced``
+        at args(t + tau), one column per function."""
+        value = columns(current, self.here)
+        value[self.first] += columns(advanced, self.ahead)
+        return value
+
+    def derivative(self, k: int) -> np.ndarray:
+        """q^(k)(t), shape (rows, dim)."""
+        dim = self.problem.dim
+        return np.column_stack([self.here[coordinate_name(i, k)] for i in range(dim)])
+
+    def block_terms(self, ks: Sequence[int]) -> np.ndarray:
+        """dL/dq^(k)(t) plus, in region 1, dL/dq^(k)_tau(t + tau) for each
+        k in ``ks``, shape (len(ks), rows, dim); needs depth >= m."""
+        u, v = self.problem.compiled_partial_u, self.problem.compiled_partial_v
+        return np.array([self.total(u[k], v[k]) for k in ks])
+
+    def psi(self, j: int) -> np.ndarray:
+        """psi^j, shape (rows, dim); needs depth >= 2m - j."""
+        p = self.problem
+        return self.total(p.compiled_psi_current[j], p.compiled_psi_advanced[j])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product.  A stack of vector products runs numpy's dot
+    kernel on each row, so every row equals ``a[row] @ b[row]`` bit for
+    bit (an index-order sum or ``einsum`` may round differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def block_terms(
@@ -81,17 +132,11 @@ def block_terms(
     region: int,
     side: str = "right",
 ) -> np.ndarray:
-    """The region-dependent coefficients of the conditions for each k in
-    ``ks``, shape (len(ks), dim): dL/dq^(k)(t) plus, in region 1, the
-    advanced term dL/dq^(k)_tau(t + tau).  Arguments are assembled once at
-    t and once at t + tau for all of them."""
-    m = problem.order
-    args = problem.args(traj, t, side)
-    value = np.array([problem.partial(k + 2, args) for k in ks])
-    if region == 1:
-        advanced = problem.args(traj, t + problem.tau, side)
-        value = value + np.array([problem.partial(k + m + 3, advanced) for k in ks])
-    return value
+    """The region-dependent coefficients of the conditions at the one time
+    t for each k in ``ks``, shape (len(ks), dim): dL/dq^(k)(t) plus, in
+    region 1, the advanced term dL/dq^(k)_tau(t + tau)."""
+    args = _Arguments(problem, traj, [t], problem.order, side, region)
+    return args.block_terms(ks)[:, 0]
 
 
 def block_term(
@@ -114,10 +159,10 @@ def psi(
     region: int | None = None,
     side: str = "right",
 ) -> np.ndarray:
-    """psi^j at time t:  sum_{i=0}^{m-j} (-1)^i (d/dt)^i of the block term
-    of index i + j.  j = 0 gives the pointwise Euler-Lagrange residual;
-    j = 1..m are the momentum-like quantities entering the DuBois-Reymond
-    and Noether expressions.
+    """psi^j at the one time t:  sum_{i=0}^{m-j} (-1)^i (d/dt)^i of the
+    block term of index i + j.  j = 0 gives the pointwise Euler-Lagrange
+    residual; j = 1..m are the momentum-like quantities entering the
+    DuBois-Reymond and Noether expressions.
 
     Evaluates the exact expressions ``problem.psi_current[j]`` at args(t)
     and, in region 1, ``problem.psi_advanced[j]`` at args(t + tau), with
@@ -126,19 +171,7 @@ def psi(
     m = problem.order
     if not 0 <= j <= m:
         raise ValueError(f"j must be in 0..{m}, got {j}")
-    if region is None:
-        region = region_of(problem, t, side)
-    depth = 2 * m - j
-    bindings = delayed_args(traj, t, problem.tau, depth, side).bindings()
-    value = np.array([evaluate(node, bindings) for node in problem.psi_current[j]])
-    if region == 1:
-        bindings = delayed_args(
-            traj, t + problem.tau, problem.tau, depth, side
-        ).bindings()
-        value = value + np.array(
-            [evaluate(node, bindings) for node in problem.psi_advanced[j]]
-        )
-    return value
+    return _Arguments(problem, traj, [t], 2 * m - j, side, region).psi(j)[0]
 
 
 def el_residual_differential(
@@ -148,8 +181,7 @@ def el_residual_differential(
     side: str = "right",
 ) -> np.ndarray:
     """Pointwise Euler-Lagrange residual (zero along regional extremals)."""
-    region = region_of(problem, t, side)
-    return psi(problem, traj, 0, t, region, side)
+    return psi(problem, traj, 0, t, None, side)
 
 
 @dataclass(frozen=True)
@@ -299,12 +331,12 @@ def _analyze_samples(
 
     segment_fits = []
     failing = []
-    seen: list[tuple[float, float]] = []
-    for interval in [interval for _, interval in samples]:
-        if interval in seen:
-            continue
-        seen.append(interval)
-        mask = np.array([iv == interval for _, iv in samples])
+    _, first, segment = np.unique(
+        [iv for _, iv in samples], axis=0, return_index=True, return_inverse=True
+    )
+    for index in np.argsort(first):  # segments in order of first appearance
+        interval = samples[first[index]][1]
+        mask = segment.ravel() == index
         segment_values = values[mask]
         constant = segment_values.mean(axis=0)
         seg_dev = float(np.max(np.abs(segment_values - constant)))
@@ -346,8 +378,9 @@ def _folded_integral(
     bases = np.broadcast_to(bases, times.shape)
     scale = 1.0 / math.factorial(k - 1)
     out = np.zeros((times.size,) + table.shape[1:])
-    for row, (t, base) in enumerate(zip(times, bases)):
-        lo, hi = np.searchsorted(nodes, (min(t, base), max(t, base)))
+    starts = np.searchsorted(nodes, np.minimum(times, bases))
+    ends = np.searchsorted(nodes, np.maximum(times, bases))
+    for row, (t, base, lo, hi) in enumerate(zip(times, bases, starts, ends)):
         kernel = weights[lo:hi] * scale * (t - nodes[lo:hi]) ** (k - 1)
         out[row] = (1.0 if t >= base else -1.0) * (kernel @ table[lo:hi])
     return out
@@ -371,20 +404,15 @@ def el_first_integral(
     if mode not in ("regional", "global"):
         raise ValueError(f"mode must be 'regional' or 'global', got {mode!r}")
     m = problem.order
-
-    def terms(ks: range, ts: np.ndarray) -> np.ndarray:  # (len(ks), len(ts), dim)
-        rows = [block_terms(problem, traj, ks, t, region_of(problem, t)) for t in ts]
-        return np.ascontiguousarray(np.swapaxes(rows, 0, 1))
-
     samples = sample_times(problem, traj, None, grid)
     times = np.array([t for t, _ in samples])
     nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
-    node_terms = terms(range(m), nodes)
+    node_terms = _Arguments(problem, traj, nodes, m).block_terms(range(m))
     values = np.zeros((times.size, problem.dim))
     for i in range(m + 1):
         sign = -1.0 if (m - i - 1) % 2 else 1.0
         if i == m:
-            term = terms(range(m, m + 1), times)[0]
+            term = _Arguments(problem, traj, times, m).block_terms([m])[0]
         else:
             term = _folded_integral(
                 nodes, weights, node_terms[i], problem.junction, times, m - i
@@ -407,22 +435,17 @@ def dbr_first_integral(
     """DuBois-Reymond first integral, constant on each region:
     L - sum_j psi^j . q^(j) - int d/dt-partial of L from the region start."""
     m = problem.order
-
     samples = sample_times(problem, traj, None, grid)
     times = np.array([t for t, _ in samples])
-    regions = [region_of(problem, t) for t in times]
+    args = _Arguments(problem, traj, times, 2 * m - 1)
     nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
-    rates = np.array([problem.partial(1, problem.args(traj, s)) for s in nodes])
-    starts = np.where(np.array(regions) == 1, problem.t1, problem.junction)
+    rates = columns([problem.compiled_partial_t], problem.bindings(traj, nodes, m))[:, 0]
+    starts = np.where(args.regions == 1, problem.t1, problem.junction)
     explicit = _folded_integral(nodes, weights, rates, starts, times, 1)
-    values = np.zeros(times.size)
-    for row, (t, region) in enumerate(zip(times, regions)):
-        args = problem.args(traj, t)
-        total = problem.lagrangian_value(args)
-        for j in range(1, m + 1):
-            momentum = psi(problem, traj, j, t, region)
-            total -= float(momentum @ args.current[j])
-        values[row] = total - explicit[row]
+    values = args.value(problem.compiled_lagrangian)
+    for j in range(1, m + 1):
+        values = values - _dot(args.psi(j), args.derivative(j))
+    values = values - explicit
 
     return _analyze_samples(
         "dbr", "regional", samples, values, [1, 2], 0, tol, problem.junction
@@ -461,7 +484,5 @@ def check_el_differential(
     tol: float | None = None,
 ) -> ResidualReport:
     samples = sample_times(problem, traj, None, grid)
-    values = np.array(
-        [el_residual_differential(problem, traj, t) for t, _ in samples]
-    )
-    return _residual_report("el-differential", samples, values, tol)
+    args = _Arguments(problem, traj, [t for t, _ in samples], 2 * problem.order)
+    return _residual_report("el-differential", samples, args.psi(0), tol)

@@ -7,6 +7,13 @@ q(t2) and q^(i)(t2) for i = 1..m-1.  The action is the integral of L along
 a trajectory over [t1, t2], computed by composite Gauss-Legendre quadrature
 split at the trajectory's effective breakpoints so every panel integrates a
 smooth function.
+
+Evaluation is batched: ``Problem.bindings`` assembles the arguments of L at
+many times at once (one array per canonical name), and the compiled forms
+of L, its partials and the momenta psi^j (``Problem.compiled_*``) evaluate
+over those arrays with values equal to the scalar ``expr.evaluate`` bit for
+bit.  ``Problem.args``, ``partial`` and ``lagrangian_value`` are the
+one-point forms.
 """
 
 from __future__ import annotations
@@ -68,9 +75,21 @@ def _fold_momenta(
     return folded[::-1]
 
 
+def compiled_property(name: str) -> cached_property:
+    """A cached property holding ``expr.compile`` of the expression in the
+    attribute ``name``, or lists of them for (nested) lists of expressions."""
+
+    def compile_nested(tree):
+        if isinstance(tree, (list, tuple)):
+            return [compile_nested(item) for item in tree]
+        return ex.compile(tree)
+
+    return cached_property(lambda self: compile_nested(getattr(self, name)))
+
+
 class Problem:
     """Delayed variational problem with cached symbolic Lagrangian partials
-    and momenta.
+    and momenta, and their compiled array forms.
 
     ``lagrangian`` and ``prehistory`` are expression trees over the
     canonical vocabulary (t, q{i}_d{k}, q{i}_d{k}_tau); use ``from_sources``
@@ -207,36 +226,40 @@ class Problem:
         coordinates).
         """
         m = self.order
-        bindings = args.bindings()
-        if block == 1:
-            return ex.evaluate(self._partial_t, bindings)
-        if 2 <= block <= m + 2:
-            exprs = self._partial_u[block - 2]
-        elif m + 3 <= block <= 2 * m + 3:
-            exprs = self._partial_v[block - m - 3]
-        else:
+        if not 1 <= block <= 2 * m + 3:
             raise FunctionalError(
                 f"block must be in 1..{2 * m + 3} for order {m}, got {block}"
             )
+        bindings = args.bindings()
+        if block == 1:
+            return ex.evaluate(self._partial_t, bindings)
+        exprs = [*self._partial_u, *self._partial_v][block - 2]
         return np.array([ex.evaluate(node, bindings) for node in exprs])
 
     def lagrangian_value(self, args: DelayedArgs) -> float:
         return ex.evaluate(self.lagrangian, args.bindings())
 
-    # Array-valued forms of L and its partials for whole-grid evaluation,
-    # compiled on first use.
+    def bindings(
+        self, traj: PiecewiseTrajectory, ts, depth: int, side: str = "right"
+    ) -> dict[str, np.ndarray]:
+        """Arguments at the times ``ts`` as ``side`` limits, one array per
+        name: t, q{i}_d{k} at ts and q{i}_d{k}_tau at ts - tau, k <= depth."""
+        ts = np.asarray(ts, dtype=float)
+        return {
+            "t": ts,
+            **traj.bindings(ts, depth, side),
+            **traj.bindings(ts - self.tau, depth, side, delayed=True),
+        }
 
-    @cached_property
-    def compiled_lagrangian(self) -> Callable:
-        return ex.compile(self.lagrangian)
-
-    @cached_property
-    def compiled_partial_u(self) -> list[list[Callable]]:
-        return [[ex.compile(node) for node in block] for block in self._partial_u]
-
-    @cached_property
-    def compiled_partial_v(self) -> list[list[Callable]]:
-        return [[ex.compile(node) for node in block] for block in self._partial_v]
+    # Array forms of L, its partials, the momenta and the prehistory, for
+    # many times at once (they take ``bindings``), compiled on first use.
+    compiled_lagrangian = compiled_property("lagrangian")
+    compiled_partial_t = compiled_property("_partial_t")
+    compiled_partial_u = compiled_property("_partial_u")
+    compiled_partial_v = compiled_property("_partial_v")
+    compiled_psi_current = compiled_property("psi_current")
+    compiled_psi_advanced = compiled_property("psi_advanced")
+    compiled_prehistory = compiled_property("prehistory")
 
     @cached_property
     def compiled_second_partials(self) -> dict[tuple[str, str], Callable]:
@@ -280,15 +303,23 @@ def gauss_nodes(
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
+def columns(functions: Sequence[Callable], bindings: dict) -> np.ndarray:
+    """Compiled expressions on ``bindings`` (whose "t" has one entry per
+    point) as columns of a (points, len(functions)) array, constants broadcast."""
+    shape = np.shape(bindings["t"])
+    return np.column_stack([np.broadcast_to(f(bindings), shape) for f in functions])
+
+
 def integrate(
     problem: Problem,
     traj: PiecewiseTrajectory,
-    integrand: Callable[[DelayedArgs], float],
+    integrand: Callable,
     window: tuple[float, float] | None = None,
     quad: QuadratureSpec | None = None,
 ) -> float:
-    """Integrate ``integrand(args(t))`` over ``window`` (default [t1, t2])
-    with the composite rule of ``gauss_nodes``."""
+    """Integrate a compiled ``integrand`` (such as ``compiled_lagrangian``),
+    evaluated at all nodes at once on ``problem.bindings`` of depth m, over
+    ``window`` (default [t1, t2]) with the composite rule of ``gauss_nodes``."""
     problem.check_trajectory(traj)
     lo, hi = window if window is not None else (problem.t1, problem.t2)
     snap = traj.snap
@@ -297,9 +328,8 @@ def integrate(
     if hi <= lo:
         return 0.0
     nodes, weights = gauss_nodes(problem, traj, (lo, hi), quad)
-    return math.fsum(
-        w * integrand(problem.args(traj, t)) for t, w in zip(nodes, weights)
-    )
+    values = columns([integrand], problem.bindings(traj, nodes, problem.order))
+    return math.fsum(weights * values[:, 0])
 
 
 def action(
@@ -316,43 +346,27 @@ def action(
     problem.check_trajectory(traj)
     warnings = []
 
-    # Prehistory match on [t1 - tau, t1], sampled per overlapping segment.
+    # Prehistory match on [t1 - tau, t1], sampled at 9 points per
+    # overlapping segment: the last one is the segment end, taken from the left.
     pre_tol = traj.continuity_tol
+    spans = subsegments(traj.breakpoints, problem.t1 - problem.tau, problem.t1, traj.snap)
+    probes = np.array([np.linspace(a, b, 9) for a, b in spans])
     worst = 0.0
-    for a, b in subsegments(
-        traj.breakpoints, problem.t1 - problem.tau, problem.t1, traj.snap
-    ):
-        for t in np.linspace(a, b, 9):
-            side = "right" if t < b else "left"
-            dev = np.max(
-                np.abs(traj.eval_derivative(t, 0, side) - problem.prehistory_value(t))
-            )
-            worst = max(worst, float(dev))
+    for ts, side in ((probes[:, :-1].ravel(), "right"), (probes[:, -1], "left")):
+        target = columns(problem.compiled_prehistory, {"t": ts})
+        worst = max(worst, float(np.max(np.abs(traj.eval(ts, 0, side) - target))))
     if worst > pre_tol:
         warnings.append(
             f"trajectory deviates from prehistory by {worst:.3e} on "
             f"[t1 - tau, t1] (tol {pre_tol:.3e})"
         )
 
-    tol_bc = 1e-8
-    gap = float(
-        np.max(
-            np.abs(traj.eval_derivative(problem.t2, 0, "left") - problem.terminal_position)
-        )
-    )
-    if gap > tol_bc:
-        warnings.append(f"terminal position misses target by {gap:.3e}")
-    for i in range(1, problem.order):
-        gap = float(
-            np.max(
-                np.abs(
-                    traj.eval_derivative(problem.t2, i, "left")
-                    - problem.terminal_derivatives[i - 1]
-                )
-            )
-        )
-        if gap > tol_bc:
-            warnings.append(f"terminal derivative {i} misses target by {gap:.3e}")
+    targets = [problem.terminal_position, *problem.terminal_derivatives]
+    for i, target in enumerate(targets):
+        gap = float(np.max(np.abs(traj.eval_derivative(problem.t2, i, "left") - target)))
+        if gap > 1e-8:
+            what = f"derivative {i}" if i else "position"
+            warnings.append(f"terminal {what} misses target by {gap:.3e}")
 
-    value = integrate(problem, traj, problem.lagrangian_value, window, quad)
+    value = integrate(problem, traj, problem.compiled_lagrangian, window, quad)
     return ActionResult(value, tuple(warnings))

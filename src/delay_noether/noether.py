@@ -24,14 +24,13 @@ from .conditions import (
     ResidualReport,
     SampleGrid,
     _analyze_samples,
+    _Arguments,
+    _dot,
     _residual_report,
-    block_terms,
-    psi,
-    region_of,
     sample_times,
 )
-from .functional import Problem
-from .trajectory import PiecewiseTrajectory, delayed_args
+from .functional import Problem, columns, compiled_property
+from .trajectory import PiecewiseTrajectory
 
 
 class SymmetryError(ValueError):
@@ -106,6 +105,14 @@ class SymmetryCandidate:
             order,
         )
 
+    # Array forms (see ``expr.compile``), compiled on first use.
+    compiled_eta = compiled_property("eta")
+    compiled_eta_dot = compiled_property("eta_dot")
+    compiled_xi = compiled_property("xi")
+    compiled_rho = compiled_property("rho")
+    compiled_gauge = compiled_property("gauge")
+    compiled_gauge_dot = compiled_property("gauge_dot")
+
     def check_against(self, problem: Problem) -> None:
         if self.dim != problem.dim or self.order != problem.order:
             raise SymmetryError(
@@ -114,32 +121,22 @@ class SymmetryCandidate:
             )
 
 
-def _point_bindings(
-    traj: PiecewiseTrajectory, t: float, side: str, depth: int = 0
-) -> dict[str, float]:
-    """t and the current derivatives q^(k)(t), k = 0..depth."""
-    bindings = {"t": float(t)}
-    for k in range(depth + 1):
-        values = traj.eval_derivative(t, k, side)
-        for i in range(traj.dim):
-            bindings[ex.coordinate_name(i, k)] = float(values[i])
-    return bindings
-
-
-def _vector(nodes: Sequence[ex.Expression], bindings: dict[str, float]) -> np.ndarray:
-    return np.array([ex.evaluate(node, bindings) for node in nodes])
+def _point(traj: PiecewiseTrajectory, t: float, side: str, depth: int = 0) -> dict:
+    """t and the current derivatives q^(k)(t), k = 0..depth, at the one time t."""
+    ts = np.array([t], dtype=float)
+    return {"t": ts, **traj.bindings(ts, depth, side)}
 
 
 def eta_value(
     sym: SymmetryCandidate, traj: PiecewiseTrajectory, t: float, side: str = "right"
 ) -> float:
-    return ex.evaluate(sym.eta, _point_bindings(traj, t, side))
+    return float(columns([sym.compiled_eta], _point(traj, t, side))[0, 0])
 
 
 def xi_value(
     sym: SymmetryCandidate, traj: PiecewiseTrajectory, t: float, side: str = "right"
 ) -> np.ndarray:
-    return _vector(sym.xi, _point_bindings(traj, t, side))
+    return columns(sym.compiled_xi, _point(traj, t, side))[0]
 
 
 def rho(
@@ -153,70 +150,58 @@ def rho(
     rho^i = d/dt rho^(i-1) - q^(i)(t) * d/dt eta."""
     if not 0 <= i <= sym.order:
         raise SymmetryError(f"rho index {i} not in 0..{sym.order}")
-    return _vector(sym.rho[i], _point_bindings(traj, t, side, i))
-
-
-def _gauge_dot(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    sym: SymmetryCandidate,
-    t: float,
-    side: str,
-) -> float:
-    if isinstance(sym.gauge_dot, ex.Constant):
-        return sym.gauge_dot.value
-    # D_t Phi reaches one derivative order above the problem's.
-    args = delayed_args(traj, t, problem.tau, problem.order + 1, side)
-    return ex.evaluate(sym.gauge_dot, args.bindings())
+    return columns(sym.compiled_rho[i], _point(traj, t, side, i))[0]
 
 
 def invariance_residual(
     problem: Problem,
     traj: PiecewiseTrajectory,
     sym: SymmetryCandidate,
-    t: float,
+    t,
     side: str = "right",
-) -> float:
-    """Pointwise invariance defect at t (region-aware).
+):
+    """Pointwise invariance defect (region-aware) at t: a float for one
+    time, an array for an array of times.
 
     Zero at every t along every admissible trajectory iff the candidate is
     an invariance family of the functional up to the gauge term.
     """
     sym.check_against(problem)
-    region = region_of(problem, t, side)
-    args = problem.args(traj, t, side)
-    bindings = args.bindings()
-    total = -_gauge_dot(problem, traj, sym, t, side)
-    total += problem.partial(1, args) * ex.evaluate(sym.eta, bindings)
-    total += problem.lagrangian_value(args) * ex.evaluate(sym.eta_dot, bindings)
-    coeffs = block_terms(problem, traj, range(problem.order + 1), t, region, side)
-    for i in range(problem.order + 1):
-        total += float(coeffs[i] @ _vector(sym.rho[i], bindings))
-    return float(total)
+    m = problem.order
+    # D_t Phi reaches one derivative order above the problem's.
+    args = _Arguments(problem, traj, np.atleast_1d(t), m + 1, side)
+    value = args.value
+    total = -value(sym.compiled_gauge_dot)
+    total = total + value(problem.compiled_partial_t) * value(sym.compiled_eta)
+    total = total + value(problem.compiled_lagrangian) * value(sym.compiled_eta_dot)
+    coeffs = args.block_terms(range(m + 1))
+    for i in range(m + 1):
+        total = total + _dot(coeffs[i], columns(sym.compiled_rho[i], args.here))
+    return total if np.ndim(t) else float(total[0])
 
 
 def noether_charge(
     problem: Problem,
     traj: PiecewiseTrajectory,
     sym: SymmetryCandidate,
-    t: float,
+    t,
     side: str = "right",
-) -> float:
+):
     """Candidate conserved quantity
-    sum_j psi^j . rho^(j-1) + (L - sum_j psi^j . q^(j)) eta - Phi."""
+    sum_j psi^j . rho^(j-1) + (L - sum_j psi^j . q^(j)) eta - Phi at t: a
+    float for one time, an array for an array of times."""
     sym.check_against(problem)
-    region = region_of(problem, t, side)
-    args = problem.args(traj, t, side)
-    bindings = args.bindings()
-    total = 0.0
-    kinetic = problem.lagrangian_value(args)
-    for j in range(1, problem.order + 1):
-        momentum = psi(problem, traj, j, t, region, side)
-        total += float(momentum @ _vector(sym.rho[j - 1], bindings))
-        kinetic -= float(momentum @ args.current[j])
-    total += kinetic * ex.evaluate(sym.eta, bindings)
-    total -= ex.evaluate(sym.gauge, bindings)
-    return total
+    m = problem.order
+    args = _Arguments(problem, traj, np.atleast_1d(t), 2 * m - 1, side)
+    total = np.zeros(args.regions.shape)
+    kinetic = args.value(problem.compiled_lagrangian)
+    for j in range(1, m + 1):
+        momentum = args.psi(j)
+        total = total + _dot(momentum, columns(sym.compiled_rho[j - 1], args.here))
+        kinetic = kinetic - _dot(momentum, args.derivative(j))
+    total = total + kinetic * args.value(sym.compiled_eta)
+    total = total - args.value(sym.compiled_gauge)
+    return total if np.ndim(t) else float(total[0])
 
 
 @dataclass(frozen=True)
@@ -239,9 +224,7 @@ def check_invariance(
     tol: float | None = None,
 ) -> ResidualReport:
     samples = sample_times(problem, traj, None, grid)
-    values = np.array(
-        [invariance_residual(problem, traj, sym, t) for t, _ in samples]
-    )
+    values = invariance_residual(problem, traj, sym, [t for t, _ in samples])
     return _residual_report("invariance", samples, values, tol)
 
 
@@ -255,9 +238,7 @@ def check_conservation(
     """Sample the Noether charge and decide per-region constancy."""
     sym.check_against(problem)
     samples = sample_times(problem, traj, None, grid)
-    values = np.array(
-        [noether_charge(problem, traj, sym, t) for t, _ in samples]
-    )
+    values = noether_charge(problem, traj, sym, [t for t, _ in samples])
     report = _analyze_samples(
         "noether", "regional", samples, values, [1, 2], 0, tol, problem.junction
     )

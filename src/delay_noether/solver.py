@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .functional import Problem
+from .functional import Problem, columns
 from .trajectory import PiecewiseTrajectory
 
 
@@ -118,13 +118,6 @@ def _grid_bindings(
     return bindings
 
 
-def _per_cell(functions, bindings: dict[str, np.ndarray], cells: int) -> np.ndarray:
-    """Compiled expressions, one per coordinate, as a (cells, dim) array."""
-    return np.column_stack(
-        [np.broadcast_to(function(bindings), (cells,)) for function in functions]
-    )
-
-
 def discrete_action(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> float:
     """Midpoint-rule action of the piecewise-linear interpolant of ``nodes``."""
     nodes = _check_nodes(problem, nodes, grid)
@@ -149,8 +142,8 @@ def discrete_gradient(problem: Problem, nodes: np.ndarray, grid: GridSpec) -> np
     nodes = _check_nodes(problem, nodes, grid)
     h, k, n = grid.step, grid.delay_steps, grid.cells
     bindings = _grid_bindings(problem, nodes, grid)
-    du0, du1 = (_per_cell(fns, bindings, n) for fns in problem.compiled_partial_u[:2])
-    dv0, dv1 = (_per_cell(fns, bindings, n) for fns in problem.compiled_partial_v[:2])
+    du0, du1 = (columns(fns, bindings) for fns in problem.compiled_partial_u[:2])
+    dv0, dv1 = (columns(fns, bindings) for fns in problem.compiled_partial_v[:2])
     gradient = np.zeros_like(nodes)
     gradient[k + 1 : k + n + 1] += h * (0.5 * du0 + du1 / h)
     gradient[k : k + n] += h * (0.5 * du0 - du1 / h)
@@ -227,18 +220,13 @@ class SolveResult:
 
 
 def _initial_nodes(problem: Problem, grid: GridSpec) -> np.ndarray:
-    times = grid.node_times(problem)
-    nodes = np.zeros((grid.num_nodes, problem.dim))
-    k = grid.delay_steps
-    for j in range(k + 1):
-        nodes[j] = problem.prehistory_value(float(times[j]))
-    anchor = nodes[k]
-    target = problem.terminal_position
-    horizon = problem.t2 - problem.t1
-    for j in range(k + 1, grid.num_nodes):
-        fraction = (times[j] - problem.t1) / horizon
-        nodes[j] = anchor + fraction * (target - anchor)
-    return nodes
+    """The prehistory on the pinned nodes up to t1, then the straight line
+    from there to the terminal position."""
+    times, k = grid.node_times(problem), grid.delay_steps
+    pinned = columns(problem.compiled_prehistory, {"t": times[: k + 1]})
+    fraction = (times[k + 1 :, None] - problem.t1) / (problem.t2 - problem.t1)
+    anchor, target = pinned[k], problem.terminal_position
+    return np.vstack([pinned, anchor + fraction * (target - anchor)])
 
 
 def _levenberg_shift(hessian: np.ndarray) -> float:

@@ -7,6 +7,11 @@ t1 - tau and b_K is t2, and evaluation is explicitly one-sided: at a
 breakpoint the left and right polynomials may disagree in derivatives of
 order >= the smoothness class, and callers must say which limit they want.
 Values are never averaged across a breakpoint.
+
+Evaluation is batched: ``PiecewiseTrajectory.eval`` locates the segments
+of an array of times with one ``searchsorted`` and runs Horner over them;
+``bindings`` names every derivative up to a depth for compiled expressions.
+``eval_derivative`` and ``delayed_args`` are its one-point forms.
 """
 
 from __future__ import annotations
@@ -27,36 +32,36 @@ _SNAP_FRACTION = 1e-12  # breakpoint identification tolerance, relative to span
 _DEFAULT_DEGREE_CAP = 5
 
 
-def _poly_derivative_value(coeffs: np.ndarray, u: float, k: int) -> np.ndarray:
-    """k-th derivative at local coordinate u; coeffs has shape (dim, L)."""
-    length = coeffs.shape[1]
-    if k >= length:
-        return np.zeros(coeffs.shape[0])
-    # Derived coefficients c[j+k] * (j+k)! / j!, evaluated by Horner.
-    result = np.zeros(coeffs.shape[0])
-    for j in range(length - 1, k - 1, -1):
+def _horner(coeffs: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
+    """k-th derivatives of the polynomials ``coeffs`` (shape (n, dim, L),
+    ascending in the local coordinate) at the local coordinates ``u``
+    (shape (n,)), as an (n, dim) array; zero for k >= L."""
+    # Derived coefficients c[p] * p! / (p - k)!, evaluated by Horner.
+    result = np.zeros(coeffs.shape[:2])
+    for p in range(coeffs.shape[2] - 1, k - 1, -1):
         factor = 1.0
-        for r in range(j, j - k, -1):
+        for r in range(p, p - k, -1):
             factor *= r
-        result = result * u + coeffs[:, j] * factor
+        result = result * u[:, None] + coeffs[:, :, p] * factor
     return result
 
 
-def locate(points: np.ndarray, t: float, side: str, snap: float) -> int:
+def locate(points: np.ndarray, ts, side: str, snap: float) -> np.ndarray:
     """Index j of the interval [points[j], points[j + 1]] whose ``side``
-    limit governs t, for t in [points[0] - snap, points[-1] + snap].
+    limit governs each t of ``ts``, for t in [points[0] - snap,
+    points[-1] + snap]; an array of the shape of ``ts``.
 
     A t within ``snap`` of a point counts as that point; at the two ends
     only the inward limit exists.
     """
-    i = int(np.searchsorted(points, t))  # points[i - 1] < t <= points[i]
-    nearer_left = i == points.size or (i > 0 and t - points[i - 1] <= points[i] - t)
-    hit = i - 1 if nearer_left else i
-    if abs(points[hit] - t) <= snap:
-        if side == "right":
-            return hit if hit < points.size - 1 else hit - 1
-        return hit - 1 if hit > 0 else 0
-    return i - 1
+    ts = np.asarray(ts, dtype=float)
+    n = points.size
+    i = np.searchsorted(points, ts)  # points[i - 1] < t <= points[i]
+    below, above = points[np.maximum(i - 1, 0)], points[np.minimum(i, n - 1)]
+    nearer_left = (i == n) | ((i > 0) & (ts - below <= above - ts))
+    hit = np.where(nearer_left, i - 1, i)
+    snapped = np.minimum(hit, n - 2) if side == "right" else np.maximum(hit - 1, 0)
+    return np.where(np.abs(points[hit] - ts) <= snap, snapped, i - 1)
 
 
 class PiecewiseTrajectory:
@@ -100,28 +105,23 @@ class PiecewiseTrajectory:
         dims = {len(block) for block in coefficients}
         if len(dims) != 1 or 0 in dims:
             raise TrajectoryError("every interval needs the same nonzero dim")
-        dim = dims.pop()
-        max_len = 0
-        for block in coefficients:
-            for coords in block:
-                if len(coords) == 0:
-                    raise TrajectoryError("empty coefficient list")
-                if len(coords) - 1 > degree_cap:
-                    raise TrajectoryError(
-                        f"degree {len(coords) - 1} exceeds cap {degree_cap}"
-                    )
-                max_len = max(max_len, len(coords))
-        packed = np.zeros((bp.size - 1, dim, max_len))
-        for j, block in enumerate(coefficients):
-            for i, coords in enumerate(block):
-                packed[j, i, : len(coords)] = coords
+        lengths = np.array([[len(coords) for coords in block] for block in coefficients])
+        bad = (lengths == 0) | (lengths - 1 > degree_cap)
+        if bad.any():
+            length = int(lengths.flat[np.argmax(bad)])
+            if length == 0:
+                raise TrajectoryError("empty coefficient list")
+            raise TrajectoryError(f"degree {length - 1} exceeds cap {degree_cap}")
+        flat = [c for block in coefficients for coords in block for c in coords]
+        packed = np.zeros(lengths.shape + (int(lengths.max()),))
+        packed[np.arange(packed.shape[2]) < lengths[..., None]] = np.array(flat, float)
         if not np.all(np.isfinite(packed)):
             raise TrajectoryError("coefficients must be finite")
 
         self.breakpoints = bp
         self.coefficients = packed
         self.order = int(order)
-        self.dim = dim
+        self.dim = lengths.shape[1]
         self.degree_cap = int(degree_cap)
 
         scale = float(np.max(np.abs(packed))) if packed.size else 0.0
@@ -130,17 +130,22 @@ class PiecewiseTrajectory:
         self._check_continuity(self.continuity_tol)
 
     def _check_continuity(self, tol: float) -> None:
-        for j in range(len(self.breakpoints) - 2):
-            u_end = self.breakpoints[j + 1] - self.breakpoints[j]
-            for k in range(self.order):
-                left = _poly_derivative_value(self.coefficients[j], u_end, k)
-                right = _poly_derivative_value(self.coefficients[j + 1], 0.0, k)
-                gap = float(np.max(np.abs(left - right)))
-                if gap > tol:
-                    raise TrajectoryError(
-                        f"derivative {k} jumps by {gap:.3e} at "
-                        f"breakpoint {self.breakpoints[j + 1]!r} (tol {tol:.3e})"
-                    )
+        """Raise for the first interior breakpoint, then the lowest order
+        below the class, where the two sides differ by more than ``tol``."""
+        widths = np.diff(self.breakpoints)[:-1]
+        ends, starts = self.coefficients[:-1], self.coefficients[1:]
+        jumps = [
+            _horner(ends, widths, k) - _horner(starts, np.zeros_like(widths), k)
+            for k in range(self.order)
+        ]
+        gaps = np.max(np.abs(jumps), axis=2)  # (order, interior breakpoints)
+        failing = np.argwhere(gaps.T > tol)
+        if failing.size:
+            j, k = failing[0]
+            raise TrajectoryError(
+                f"derivative {k} jumps by {float(gaps[k, j]):.3e} at "
+                f"breakpoint {self.breakpoints[j + 1]!r} (tol {tol:.3e})"
+            )
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -151,27 +156,53 @@ class PiecewiseTrajectory:
         """Distance within which two times count as the same point."""
         return _SNAP_FRACTION * (self.breakpoints[-1] - self.breakpoints[0])
 
-    def segment_index(self, t: float, side: str = "right") -> int:
-        """Index of the interval whose polynomial governs the ``side`` limit at t."""
+    def segment_index(self, t, side: str = "right"):
+        """Index of the interval whose polynomial governs the ``side`` limit
+        at t; an array of indices for an array t."""
         if side not in ("left", "right"):
             raise TrajectoryError(f"side must be 'left' or 'right', got {side!r}")
-        bp = self.breakpoints
-        snap = self.snap
-        if t < bp[0] - snap or t > bp[-1] + snap:
-            raise TrajectoryError(f"t={t!r} outside domain [{bp[0]!r}, {bp[-1]!r}]")
-        return locate(bp, t, side, snap)
+        bp, snap = self.breakpoints, self.snap
+        ts = np.asarray(t, dtype=float)
+        outside = ~((ts >= bp[0] - snap) & (ts <= bp[-1] + snap))
+        if outside.any():
+            bad = float(ts.flat[np.argmax(outside)])
+            raise TrajectoryError(f"t={bad!r} outside domain [{bp[0]!r}, {bp[-1]!r}]")
+        index = locate(bp, ts, side, snap)
+        return index if index.ndim else int(index)
 
     def segment_interval(self, t: float, side: str = "right") -> tuple[float, float]:
         j = self.segment_index(t, side)
         return float(self.breakpoints[j]), float(self.breakpoints[j + 1])
 
-    def eval_derivative(self, t: float, k: int = 0, side: str = "right") -> np.ndarray:
-        """k-th derivative vector at t, taking the one-sided limit ``side``;
-        zero for k above the degree of the governing segment."""
+    def eval(self, ts, k: int = 0, side: str = "right") -> np.ndarray:
+        """k-th derivative at each of the times ``ts`` (1-D) as the one-sided
+        limit ``side``, shape (len(ts), dim); zero above the degree of the
+        governing segment."""
         if k < 0:
             raise TrajectoryError(f"derivative order {k} is negative")
-        j = self.segment_index(t, side)
-        return _poly_derivative_value(self.coefficients[j], t - self.breakpoints[j], k)
+        ts = np.asarray(ts, dtype=float)
+        j = self.segment_index(ts, side)
+        return _horner(self.coefficients[j], ts - self.breakpoints[j], k)
+
+    def eval_derivative(self, t: float, k: int = 0, side: str = "right") -> np.ndarray:
+        """k-th derivative vector at the one time t (see ``eval``)."""
+        return self.eval([t], k, side)[0]
+
+    def bindings(
+        self, ts, depth: int, side: str = "right", delayed: bool = False
+    ) -> dict[str, np.ndarray]:
+        """q{i}^(k)(t) for k = 0..depth at the times ``ts``, one array per
+        canonical name (``q{i}_d{k}``, or ``q{i}_d{k}_tau`` when
+        ``delayed``), from one segment lookup."""
+        ts = np.asarray(ts, dtype=float)
+        j = self.segment_index(ts, side)
+        coeffs, u = self.coefficients[j], ts - self.breakpoints[j]
+        out = {}
+        for k in range(depth + 1):
+            values = _horner(coeffs, u, k)
+            for i in range(self.dim):
+                out[coordinate_name(i, k, delayed)] = values[:, i]
+        return out
 
     @classmethod
     def from_nodes(
@@ -188,29 +219,18 @@ class PiecewiseTrajectory:
             vals = vals[:, None]
         if ts.ndim != 1 or vals.shape[0] != ts.size:
             raise TrajectoryError("times and values must have matching length")
-        coeffs = []
-        for j in range(ts.size - 1):
-            width = ts[j + 1] - ts[j]
-            block = [
-                [float(vals[j, i]), float((vals[j + 1, i] - vals[j, i]) / width)]
-                for i in range(vals.shape[1])
-            ]
-            coeffs.append(block)
+        slopes = (vals[1:] - vals[:-1]) / np.diff(ts)[:, None]
+        coeffs = np.stack([vals[:-1], slopes], axis=-1).tolist()
         return cls(ts, coeffs, order, **kwargs)
 
     def to_json_dict(self) -> dict:
-        segments = []
-        for j in range(self.coefficients.shape[0]):
-            block = []
-            for i in range(self.dim):
-                coords = self.coefficients[j, i]
-                last = max(int(np.max(np.nonzero(coords)[0], initial=0)), 0)
-                block.append([float(c) for c in coords[: last + 1]])
-            segments.append(block)
-        return {
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "segments": segments,
-        }
+        """Breakpoints and coefficient lists, trailing zeros trimmed."""
+        segments = [
+            [coords[: 1 + max(np.flatnonzero(coords), default=0)].tolist()
+             for coords in block]
+            for block in self.coefficients
+        ]
+        return {"breakpoints": self.breakpoints.tolist(), "segments": segments}
 
     @classmethod
     def from_json_dict(cls, doc: Mapping, order: int, **kwargs) -> "PiecewiseTrajectory":
@@ -270,11 +290,9 @@ def delayed_args(
         raise TrajectoryError(f"order {m} is below 1")
     if tau <= 0:
         raise TrajectoryError("tau must be positive")
-    current = np.stack([traj.eval_derivative(t, k, side) for k in range(m + 1)])
-    delayed = np.stack(
-        [traj.eval_derivative(t - tau, k, side) for k in range(m + 1)]
-    )
-    return DelayedArgs(float(t), current, delayed)
+    times = [t, t - tau]
+    stacks = np.stack([traj.eval(times, k, side) for k in range(m + 1)], axis=1)
+    return DelayedArgs(float(t), stacks[0], stacks[1])
 
 
 def effective_breakpoints(

@@ -14,6 +14,7 @@ from delay_noether import (
     PiecewiseTrajectory,
     Problem,
     block_term,
+    delayed_args,
     effective_segment,
     evaluate,
     psi,
@@ -318,3 +319,72 @@ def reference_gradient(problem, nodes, grid) -> np.ndarray:
     gradient[: k + 1] = 0.0
     gradient[-1] = 0.0
     return gradient
+
+
+def scalar_eval(
+    traj: PiecewiseTrajectory, t: float, k: int, side: str
+) -> np.ndarray:
+    """Reference one-point evaluation in scalar Python: the nearer-point
+    snap rule of ``trajectory.locate`` on one time, then Horner over the
+    governing segment's coefficients in the order of
+    ``PiecewiseTrajectory.eval``."""
+    points, snap = traj.breakpoints, traj.snap
+    i = int(np.searchsorted(points, t))
+    nearer_left = i == points.size or (i > 0 and t - points[i - 1] <= points[i] - t)
+    hit = i - 1 if nearer_left else i
+    if abs(points[hit] - t) <= snap:
+        if side == "right":
+            j = hit if hit < points.size - 1 else hit - 1
+        else:
+            j = hit - 1 if hit > 0 else 0
+    else:
+        j = i - 1
+    coeffs, u = traj.coefficients[j], t - points[j]
+    result = np.zeros(coeffs.shape[0])
+    for p in range(coeffs.shape[1] - 1, k - 1, -1):
+        factor = 1.0
+        for r in range(p, p - k, -1):
+            factor *= r
+        result = result * u + coeffs[:, p] * factor
+    return result
+
+
+def random_piecewise(rng: np.random.Generator, dim: int) -> PiecewiseTrajectory:
+    """Random piecewise polynomial of dimension ``dim`` with 2-6 segments of
+    degree 0-4 (ragged per coordinate); evaluation does not depend on
+    continuity, so none is imposed."""
+    segments = int(rng.integers(2, 7))
+    breakpoints = np.cumsum(rng.uniform(0.1, 1.0, segments + 1)) - 1.0
+    coefficients = [
+        [list(rng.uniform(-2.0, 2.0, int(rng.integers(1, 6)))) for _ in range(dim)]
+        for _ in range(segments)
+    ]
+    return PiecewiseTrajectory(
+        breakpoints, coefficients, order=1, continuity_tol=math.inf
+    )
+
+
+def scalar_charge(problem, traj, sym, t: float, side: str = "right") -> float:
+    """Reference Noether charge at one time in scalar Python:
+    sum_j psi^j . rho^(j-1) + (L - sum_j psi^j . q^(j)) eta - Phi, each
+    expression run through ``evaluate`` and each dot product taken by
+    ``@`` on the coordinate vectors."""
+    m = problem.order
+    args = delayed_args(traj, t, problem.tau, 2 * m - 1, side)
+    here = args.bindings()
+    first = region_of(problem, t, side) == 1
+    total = 0.0
+    kinetic = evaluate(problem.lagrangian, here)
+    for j in range(1, m + 1):
+        momentum = np.array([evaluate(e, here) for e in problem.psi_current[j]])
+        if first:
+            ahead = delayed_args(traj, t + problem.tau, problem.tau, 2 * m - 1, side)
+            momentum = momentum + np.array(
+                [evaluate(e, ahead.bindings()) for e in problem.psi_advanced[j]]
+            )
+        rho = np.array([evaluate(e, here) for e in sym.rho[j - 1]])
+        total += float(momentum @ rho)
+        kinetic -= float(momentum @ args.current[j])
+    total += kinetic * evaluate(sym.eta, here)
+    total -= evaluate(sym.gauge, here)
+    return total

@@ -1,11 +1,21 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from delay_noether import bundled_problem_path
+from delay_noether import (
+    DomainError,
+    bundled_problem_path,
+    check_conservation,
+    check_el_differential,
+    dbr_first_integral,
+    el_first_integral,
+    load_document,
+)
 from delay_noether.cli import main
 
 BUNDLE = str(bundled_problem_path())
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -291,3 +301,64 @@ class TestErrors:
         code, _, err = run(capsys, "action", str(path))
         assert code == 2
         assert "unknown keys: surprise" in err
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("variant", ["el_only", "el_dbr"])
+    def test_report_json_is_byte_identical(self, capsys, variant):
+        # Recorded from the one-point-at-a-time implementation that the
+        # batched evaluation replaced.
+        code, out, _ = run(capsys, "report", BUNDLE, "--json", "--trajectory", variant)
+        assert code == 0
+        assert out == (DATA / f"report_{variant}.json").read_text(encoding="utf-8")
+
+
+class TestDomainErrors:
+    """L = log(q0) (q0' + q0'_tau)^2 along a curve that is negative on
+    (0, 2): every check meets log of a non-positive value."""
+
+    MESSAGE = "log of non-positive value in 'log(q0_d0)'"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        doc = json.loads(bundled_problem_path().read_text(encoding="utf-8"))
+        doc["lagrangian"] = "log(q0) * (q0_d1 + q0_d1_tau)^2"
+        doc["trajectories"]["negative"] = {
+            "breakpoints": [-1.0, 0.0, 1.0, 3.0],
+            "segments": [[[1.0, -1.0]], [[0.0, -1.0]], [[-1.0, 1.0]]],
+        }
+        path = tmp_path / "log.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "el"],
+            ["check", "el-integral"],
+            ["check", "dbr"],
+            ["check", "noether"],
+            ["check", "invariance"],
+            ["report"],
+            ["action"],
+        ],
+    )
+    def test_same_message_and_exit_2(self, capsys, path, argv):
+        code, out, err = run(capsys, *argv, path, "--json", "--trajectory", "negative")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {self.MESSAGE}\n"
+
+    def test_the_api_raises_domain_error(self, path):
+        doc = load_document(path)
+        problem, traj = doc.problem, doc.trajectory("negative")
+        checks = [
+            lambda: check_el_differential(problem, traj),
+            lambda: el_first_integral(problem, traj),
+            lambda: dbr_first_integral(problem, traj),
+            lambda: check_conservation(problem, traj, doc.symmetry),
+        ]
+        for check in checks:
+            with pytest.raises(DomainError) as info:
+                check()
+            assert str(info.value) == self.MESSAGE

@@ -308,23 +308,30 @@ class TestElIntegralCheck:
 
     @pytest.mark.parametrize("fixture", ["cubic_order2", "quintic_order3"])
     def test_arguments_are_assembled_once_per_point(self, fixture, monkeypatch):
-        # One args(s) per Gauss node and sample, plus args(s + tau) in
-        # region 1, whatever the order: all m + 1 block terms share them.
+        # One batch of args(s) over the Gauss nodes and one over the samples,
+        # each followed by a batch of args(s + tau) over its region-1 points,
+        # whatever the order: all m + 1 block terms share them, and no
+        # argument is assembled one point at a time.
         prob, traj = getattr(helpers, fixture)()
-        calls = []
-        original = Problem.args
+        batches = []
+        original = Problem.bindings
 
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
+        def counted(self, traj, ts, *args, **kwargs):
+            batches.append(len(ts))
+            return original(self, traj, ts, *args, **kwargs)
 
-        monkeypatch.setattr(Problem, "args", counted)
+        def per_point(*args, **kwargs):
+            raise AssertionError("Problem.args called")
+
+        monkeypatch.setattr(Problem, "bindings", counted)
+        monkeypatch.setattr(Problem, "args", per_point)
         el_first_integral(prob, traj)
         times = np.array([t for t, _ in sample_times(prob, traj)])
         nodes, _ = gauss_nodes(prob, traj, (prob.t1, prob.t2), None, times)
         points = np.concatenate([nodes, times])
         expected = sum(1 + (region_of(prob, float(t)) == 1) for t in points)
-        assert len(calls) == expected == 3174
+        assert len(batches) == 4
+        assert sum(batches) == expected == 3174
 
 
 class TestFoldedIntegral:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from delay_noether import (
     ActionResult,
     FunctionalError,
@@ -15,7 +16,8 @@ from delay_noether import (
     integrate,
     parse,
 )
-from delay_noether.trajectory import DelayedArgs
+from delay_noether.functional import columns
+from delay_noether.trajectory import DelayedArgs, delayed_args
 
 
 def make_args(t, current, delayed):
@@ -178,6 +180,58 @@ class TestPartials:
         )
 
 
+class TestBindings:
+    @staticmethod
+    def cases(problem, traj_el_dbr):
+        rng = np.random.default_rng(5)
+        coupled = Problem.from_sources(
+            order=1,
+            dim=3,
+            t1=0.0,
+            t2=2.0,
+            tau=0.5,
+            lagrangian="q0_d1 * q1_d0_tau + q2_d1^2",
+            prehistory=["t", "1", "0"],
+            terminal_position=[0.0, 0.0, 0.0],
+        )
+        lipschitz = helpers.random_lipschitz_trajectory(rng, -0.5, 2.0, dim=3)
+        return [
+            (problem, traj_el_dbr),
+            helpers.cubic_order2(),
+            helpers.quintic_order3(),
+            (coupled, lipschitz),
+        ]
+
+    def test_matches_one_point_arguments(self, problem, traj_el_dbr):
+        rng = np.random.default_rng(11)
+        for prob, traj in self.cases(problem, traj_el_dbr):
+            bp = traj.breakpoints
+            ts = np.concatenate(
+                [rng.uniform(prob.t1, prob.t2, 25), bp[bp >= prob.t1], [prob.junction]]
+            )
+            for depth in (prob.order, 2 * prob.order):
+                for side in ("left", "right"):
+                    batch = prob.bindings(traj, ts, depth, side)
+                    for row, t in enumerate(ts):
+                        args = delayed_args(traj, t, prob.tau, depth, side)
+                        expected = args.bindings()
+                        assert batch.keys() == expected.keys()
+                        for name, value in expected.items():
+                            assert batch[name][row] == value, (name, t, side)
+
+    def test_compiled_partials_on_bindings_match_the_scalar_path(
+        self, problem, traj_el_dbr
+    ):
+        for prob, traj in self.cases(problem, traj_el_dbr):
+            ts = np.linspace(prob.t1, prob.t2, 17)
+            batch = prob.bindings(traj, ts, prob.order)
+            for block, functions in enumerate(prob.compiled_partial_u):
+                values = columns(functions, batch)
+                for row, t in enumerate(ts):
+                    scalar = prob.partial(block + 2, prob.args(traj, t))
+                    assert np.array_equal(values[row], scalar)
+
+
 class TestQuadrature:
     def test_gauss_points_bounds(self):
         QuadratureSpec(1)
@@ -200,12 +254,12 @@ class TestQuadrature:
         assert action(problem, traj_el_only).value == pytest.approx(total, abs=1e-9)
 
     def test_windows_are_additive(self, problem, traj_el_only):
-        full = integrate(problem, traj_el_only, problem.lagrangian_value)
+        full = integrate(problem, traj_el_only, problem.compiled_lagrangian)
         left = integrate(
-            problem, traj_el_only, problem.lagrangian_value, window=(0.0, 1.3)
+            problem, traj_el_only, problem.compiled_lagrangian, window=(0.0, 1.3)
         )
         right = integrate(
-            problem, traj_el_only, problem.lagrangian_value, window=(1.3, 3.0)
+            problem, traj_el_only, problem.compiled_lagrangian, window=(1.3, 3.0)
         )
         assert left + right == pytest.approx(full, abs=1e-12)
         assert left == pytest.approx(0.3 * 4.0, abs=1e-10)  # only (1, 1.3) contributes
@@ -220,14 +274,14 @@ class TestQuadrature:
             integrate(
                 problem,
                 traj_el_only,
-                problem.lagrangian_value,
+                problem.compiled_lagrangian,
                 window=(-0.5, 3.0),
             )
 
     def test_empty_window_integrates_to_zero(self, problem, traj_el_only):
         assert (
             integrate(
-                problem, traj_el_only, problem.lagrangian_value, window=(1.0, 1.0)
+                problem, traj_el_only, problem.compiled_lagrangian, window=(1.0, 1.0)
             )
             == 0.0
         )
@@ -254,7 +308,7 @@ class TestQuadrature:
             w * problem.lagrangian_value(problem.args(traj_el_only, t))
             for t, w in zip(nodes, weights)
         )
-        assert integrate(problem, traj_el_only, problem.lagrangian_value) == expected
+        assert integrate(problem, traj_el_only, problem.compiled_lagrangian) == expected
 
     def test_oscillating_integrand_against_closed_form(self):
         # L = sin(q'(t - tau)) with q = t^2 on [0, 2], tau = 1/2:

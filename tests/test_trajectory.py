@@ -168,6 +168,57 @@ class TestEvaluation:
                 assert traj.eval_derivative(t, 0) == pytest.approx(expected)
 
 
+class TestBatchedEvaluation:
+    @staticmethod
+    def probe_times(traj):
+        bp, snap = traj.breakpoints, traj.snap
+        rng = np.random.default_rng(bp.size)
+        inner = bp[1:-1]
+        return np.concatenate(
+            [
+                rng.uniform(bp[0], bp[-1], 40),
+                bp,
+                inner + 0.5 * snap,
+                inner - 0.5 * snap,
+                [bp[0] - 0.5 * snap, bp[-1] + 0.5 * snap],
+            ]
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_one_point_evaluation_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        traj = helpers.random_piecewise(rng, dim=1 + seed % 3)
+        ts = self.probe_times(traj)
+        degree = traj.coefficients.shape[2] - 1
+        for side in ("left", "right"):
+            for k in range(degree + 2):
+                batch = traj.eval(ts, k, side)
+                assert batch.shape == (ts.size, traj.dim)
+                for t, row in zip(ts, batch):
+                    assert np.array_equal(row, traj.eval_derivative(t, k, side))
+                    assert np.array_equal(row, helpers.scalar_eval(traj, t, k, side))
+
+    def test_errors(self, traj_el_only):
+        with pytest.raises(TrajectoryError, match=r"t=3\.5 outside domain"):
+            traj_el_only.eval([0.5, 3.5, -2.0], 0)
+        with pytest.raises(TrajectoryError, match="outside domain"):
+            traj_el_only.eval([float("nan")], 0)
+        with pytest.raises(TrajectoryError, match="derivative order -1 is negative"):
+            traj_el_only.eval([0.5], -1)
+        with pytest.raises(TrajectoryError, match="side"):
+            traj_el_only.eval([0.5], 0, "middle")
+
+    def test_continuity_error_names_the_first_jump(self):
+        # Jumps at both interior breakpoints, in the slope at 1 and the
+        # value at 2: the breakpoint at 1 comes first.
+        with pytest.raises(TrajectoryError, match="derivative 1 jumps by 2.000e"):
+            PiecewiseTrajectory(
+                [0.0, 1.0, 2.0, 3.0],
+                [[[0.0, 1.0]], [[1.0, -1.0]], [[5.0, 0.0]]],
+                order=2,
+            )
+
+
 class TestFromNodes:
     def test_linear_interpolant(self):
         traj = PiecewiseTrajectory.from_nodes([0.0, 1.0, 3.0], [2.0, 4.0, 0.0])
