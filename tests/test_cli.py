@@ -312,6 +312,30 @@ class TestGoldenOutput:
         assert code == 0
         assert out == (DATA / f"report_{variant}.json").read_text(encoding="utf-8")
 
+    CHECKS = {
+        "el": ["el"],
+        "el_integral": ["el-integral"],
+        "el_integral_global": ["el-integral", "--mode", "global"],
+        "dbr": ["dbr"],
+        "invariance": ["invariance"],
+        "noether": ["noether"],
+    }
+
+    @pytest.mark.parametrize("variant", ["el_only", "el_dbr"])
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_check_json_is_byte_identical(self, capsys, name, variant):
+        code, out, _ = run(
+            capsys, "check", *self.CHECKS[name], BUNDLE, "--json", "--trajectory", variant
+        )
+        assert out == (DATA / f"check_{name}_{variant}.json").read_text(encoding="utf-8")
+        assert code == (0 if json.loads(out)["verdict"] else 1)
+
+    @pytest.mark.parametrize("variant", ["el_only", "el_dbr"])
+    def test_check_noether_text_is_byte_identical(self, capsys, variant):
+        code, out, _ = run(capsys, "check", "noether", BUNDLE, "--trajectory", variant)
+        assert out == (DATA / f"check_noether_{variant}.txt").read_text(encoding="utf-8")
+        assert code == (1 if variant == "el_only" else 0)
+
 
 class TestDomainErrors:
     """L = log(q0) (q0' + q0'_tau)^2 along a curve that is negative on
