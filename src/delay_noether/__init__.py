@@ -48,7 +48,6 @@ from .conditions import (
     SampleGrid,
     SegmentFit,
     block_term,
-    block_terms,
     check_el_differential,
     dbr_first_integral,
     effective_segment,
@@ -59,7 +58,6 @@ from .conditions import (
     sample_times,
 )
 from .noether import (
-    ConservationReport,
     SymmetryCandidate,
     SymmetryError,
     check_conservation,

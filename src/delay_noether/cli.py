@@ -34,7 +34,7 @@ from .conditions import (
 )
 from .document import DocumentError, ProblemDocument, load_document
 from .functional import action
-from .noether import ConservationReport, check_conservation, check_invariance
+from .noether import check_conservation, check_invariance
 from .solver import DEFAULT_GRAD_TOL, GridSpec, NewtonStep, minimize
 from .trajectory import PiecewiseTrajectory
 
@@ -60,7 +60,7 @@ def _first_integral_json(report: FirstIntegralReport) -> dict:
         if fit.constant is not None:
             entry["constant"] = _scalar_or_list(fit.constant)
         regions.append(entry)
-    return {
+    payload = {
         "quantity": report.quantity,
         "mode": report.mode,
         "tol": report.tol,
@@ -78,6 +78,9 @@ def _first_integral_json(report: FirstIntegralReport) -> dict:
         ],
         "failing_segments": [[a, b] for a, b in report.failing_segments],
     }
+    if report.junction_gap is not None:
+        payload["junction_gap"] = report.junction_gap
+    return payload
 
 
 def _residual_json(report: ResidualReport) -> dict:
@@ -88,12 +91,6 @@ def _residual_json(report: ResidualReport) -> dict:
         "tol": report.tol,
         "verdict": report.verdict,
     }
-
-
-def _conservation_json(report: ConservationReport) -> dict:
-    payload = _first_integral_json(report.charge)
-    payload["junction_gap"] = report.junction_gap
-    return payload
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
@@ -138,6 +135,8 @@ def _print_first_integral(report: FirstIntegralReport) -> None:
         )
     print(f"verdict: {'holds' if report.verdict else 'fails'} "
           f"(tol {report.tol:g}, scale {report.scale:g})")
+    if report.junction_gap is not None:
+        print(f"junction gap: {report.junction_gap:.3e} (not part of verdict)")
 
 
 def _load(args) -> ProblemDocument:
@@ -191,15 +190,13 @@ def cmd_check(args) -> int:
         report = check_invariance(problem, traj, doc.symmetry, grid, tol)
     else:  # noether
         report = check_conservation(problem, traj, doc.symmetry, grid, tol)
-    sampled = report.charge if args.which == "noether" else report
+    pointwise = isinstance(report, ResidualReport)
 
     if args.csv:
-        _samples_csv(args.csv, sampled.times, sampled.values)
+        _samples_csv(args.csv, report.times, report.values)
     if args.json:
-        to_json = {"el": _residual_json, "invariance": _residual_json,
-                   "noether": _conservation_json}
-        _print_json(to_json.get(args.which, _first_integral_json)(report))
-    elif isinstance(report, ResidualReport):
+        _print_json(_residual_json(report) if pointwise else _first_integral_json(report))
+    elif pointwise:
         label = "Euler-Lagrange" if args.which == "el" else "invariance"
         print(
             f"{label} residual: max |r| = {report.max_abs:.3e} over "
@@ -207,9 +204,7 @@ def cmd_check(args) -> int:
             f"{'holds' if report.verdict else 'FAILS'}"
         )
     else:
-        _print_first_integral(sampled)
-        if args.which == "noether":
-            print(f"junction gap: {report.junction_gap:.3e} (not part of verdict)")
+        _print_first_integral(report)
     return 0 if report.verdict else 1
 
 
@@ -284,7 +279,7 @@ def cmd_report(args) -> int:
         "el": _residual_json(el),
         "el_integral": _first_integral_json(el_integral),
         "dbr": _first_integral_json(dbr),
-        "noether": _conservation_json(conservation),
+        "noether": _first_integral_json(conservation),
         "classification": line,
     }
     if args.json:

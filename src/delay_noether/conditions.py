@@ -10,6 +10,11 @@ they do not).  This module evaluates, along a candidate trajectory:
   across the junction),
 * the DuBois-Reymond first integral, constant per region.
 
+Every sampled check takes its times, and the effective segment of each,
+as arrays from ``sample_times``; ``region_of`` assigns them to regions, and
+one ``FirstIntegralReport`` carries each first-integral verdict, the
+Noether charge's included.
+
 The integral-form and DuBois-Reymond checks each integrate on one Gauss
 table (``functional.gauss_nodes``) whose panels end at the effective
 breakpoints and at the sample times.
@@ -19,7 +24,7 @@ is symbolic, so the total derivatives inside psi^j are expressions
 (``expr.total_derivative``), never finite differences.  Every check
 evaluates them batched: the arguments at all its sample times (or Gauss
 nodes) are assembled at once, and at t + tau for those in region 1, and
-each compiled expression runs once over them.  ``psi``, ``block_terms``
+each compiled expression runs once over them.  ``psi``, ``block_term``
 and ``el_residual_differential`` are one-point forms.
 """
 
@@ -69,7 +74,7 @@ def effective_segment(
     cuts = effective_breakpoints(traj, problem.tau, (problem.t1, problem.t2))
     snap = traj.snap
     if t < cuts[0] - snap or t > cuts[-1] + snap:
-        raise FunctionalError(f"t={t!r} outside [t1, t2]")
+        raise FunctionalError(f"t={float(t)!r} outside [t1, t2]")
     index = int(locate(cuts, t, side, snap))
     return float(cuts[index]), float(cuts[index + 1])
 
@@ -124,21 +129,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def block_terms(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    ks: Sequence[int],
-    t: float,
-    region: int,
-    side: str = "right",
-) -> np.ndarray:
-    """The region-dependent coefficients of the conditions at the one time
-    t for each k in ``ks``, shape (len(ks), dim): dL/dq^(k)(t) plus, in
-    region 1, the advanced term dL/dq^(k)_tau(t + tau)."""
-    args = _Arguments(problem, traj, [t], problem.order, side, region)
-    return args.block_terms(ks)[:, 0]
-
-
 def block_term(
     problem: Problem,
     traj: PiecewiseTrajectory,
@@ -147,8 +137,10 @@ def block_term(
     region: int,
     side: str = "right",
 ) -> np.ndarray:
-    """The coefficient of index k alone (see ``block_terms``)."""
-    return block_terms(problem, traj, (k,), t, region, side)[0]
+    """The coefficient of index k of the conditions at the one time t, shape
+    (dim,): dL/dq^(k)(t) plus, in region 1, dL/dq^(k)_tau(t + tau)."""
+    args = _Arguments(problem, traj, [t], problem.order, side, region)
+    return args.block_terms([k])[0, 0]
 
 
 def psi(
@@ -184,22 +176,22 @@ def el_residual_differential(
     return psi(problem, traj, 0, t, None, side)
 
 
+# Samples keep this fraction of their segment's length clear of its ends.
+_MARGIN = 0.05
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Sampling plan: a budget of ``points`` samples apportioned over the
     effective segments of the window by length, with at least one sample in
     every segment (so a window with more segments than ``points`` yields
-    more samples), each kept ``margin`` (a fraction of the segment length)
-    away from segment ends."""
+    more samples)."""
 
     points: int = 200
-    margin: float = 0.05
 
     def __post_init__(self):
         if self.points < 1:
             raise ValueError("points must be >= 1")
-        if not 0.0 < self.margin < 0.5:
-            raise ValueError("margin must be in (0, 0.5)")
 
 
 def sample_times(
@@ -207,8 +199,10 @@ def sample_times(
     traj: PiecewiseTrajectory,
     window: tuple[float, float] | None = None,
     grid: SampleGrid | None = None,
-) -> list[tuple[float, tuple[float, float]]]:
-    """Sample times paired with their effective segment, margins applied."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times, shape (n,), and the effective segment (a, b) of each,
+    shape (n, 2), with every time ``_MARGIN`` of its segment away from
+    the segment's ends."""
     problem.check_trajectory(traj)
     grid = grid or SampleGrid()
     lo, hi = window if window is not None else (problem.t1, problem.t2)
@@ -226,12 +220,11 @@ def sample_times(
     for i in range(max(0, shortfall)):
         counts[leftovers[i % len(spans)]] += 1
 
-    samples: list[tuple[float, tuple[float, float]]] = []
-    for (a, b), count in zip(spans, counts):
-        margin = grid.margin * (b - a)
-        for t in np.linspace(a + margin, b - margin, count):
-            samples.append((float(t), (a, b)))
-    return samples
+    times = [
+        np.linspace(a + _MARGIN * (b - a), b - _MARGIN * (b - a), count)
+        for (a, b), count in zip(spans, counts)
+    ]
+    return np.concatenate(times), np.repeat(spans, counts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -275,17 +268,16 @@ class FirstIntegralReport:
     max_dev: float
     verdict: bool
     failing_segments: tuple[tuple[float, float], ...]
+    # |C(junction-) - C(junction+)| of the Noether charge, not judged.
+    junction_gap: float | None = None
 
 
 def _fit_polynomial(
     times: np.ndarray, values: np.ndarray, degree: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares polynomial fit; returns (coefficients, residuals)."""
-    if times.size <= degree:
-        degree = max(0, times.size - 1)
+    degree = min(degree, times.size - 1)
     coeffs = np.polynomial.polynomial.polyfit(times, values, degree)
-    if coeffs.ndim == 1:
-        coeffs = coeffs[:, None]
     fitted = np.polynomial.polynomial.polyval(times, coeffs).T
     return coeffs, values - fitted
 
@@ -296,17 +288,17 @@ DEFAULT_FIRST_INTEGRAL_TOL = 1e-7
 def _analyze_samples(
     quantity: str,
     mode: str,
-    samples: list[tuple[float, tuple[float, float]]],
+    problem: Problem,
+    samples: tuple[np.ndarray, np.ndarray],
     values: np.ndarray,
-    regions: list[int | None],
     degree: int,
     tol: float | None,
-    junction: float,
 ) -> FirstIntegralReport:
     """Shared fit/verdict assembly for first-integral style checks: the
-    deviation from the fit against ``tol`` times the values' scale."""
+    deviation from the fit, per region (``regional`` mode) or across
+    [t1, t2] (``global``), against ``tol`` times the values' scale."""
     tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
-    times = np.array([t for t, _ in samples])
+    times, intervals = samples
     if values.ndim == 1:
         values = values[:, None]
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
@@ -314,13 +306,9 @@ def _analyze_samples(
     region_fits = []
     max_dev = 0.0
     deviations = np.zeros(times.size)
-    for region in regions:
-        if region is None:
-            mask = np.ones(times.size, dtype=bool)
-        else:
-            mask = (
-                (times <= junction) if region == 1 else (times >= junction)
-            )
+    membership = region_of(problem, times)
+    for region in (1, 2) if mode == "regional" else (None,):
+        mask = np.ones(times.size, bool) if region is None else membership == region
         if not np.any(mask):
             continue
         coeffs, resid = _fit_polynomial(times[mask], values[mask], degree)
@@ -332,10 +320,10 @@ def _analyze_samples(
     segment_fits = []
     failing = []
     _, first, segment = np.unique(
-        [iv for _, iv in samples], axis=0, return_index=True, return_inverse=True
+        intervals, axis=0, return_index=True, return_inverse=True
     )
     for index in np.argsort(first):  # segments in order of first appearance
-        interval = samples[first[index]][1]
+        interval = tuple(intervals[first[index]].tolist())  # Python floats
         mask = segment.ravel() == index
         segment_values = values[mask]
         constant = segment_values.mean(axis=0)
@@ -405,7 +393,7 @@ def el_first_integral(
         raise ValueError(f"mode must be 'regional' or 'global', got {mode!r}")
     m = problem.order
     samples = sample_times(problem, traj, None, grid)
-    times = np.array([t for t, _ in samples])
+    times = samples[0]
     nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
     node_terms = _Arguments(problem, traj, nodes, m).block_terms(range(m))
     values = np.zeros((times.size, problem.dim))
@@ -419,10 +407,7 @@ def el_first_integral(
             )
         values = values + sign * term
 
-    regions: list[int | None] = [1, 2] if mode == "regional" else [None]
-    return _analyze_samples(
-        "el-integral", mode, samples, values, regions, m - 1, tol, problem.junction
-    )
+    return _analyze_samples("el-integral", mode, problem, samples, values, m - 1, tol)
 
 
 def dbr_first_integral(
@@ -436,7 +421,7 @@ def dbr_first_integral(
     L - sum_j psi^j . q^(j) - int d/dt-partial of L from the region start."""
     m = problem.order
     samples = sample_times(problem, traj, None, grid)
-    times = np.array([t for t, _ in samples])
+    times = samples[0]
     args = _Arguments(problem, traj, times, 2 * m - 1)
     nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
     rates = columns([problem.compiled_partial_t], problem.bindings(traj, nodes, m))[:, 0]
@@ -447,9 +432,7 @@ def dbr_first_integral(
         values = values - _dot(args.psi(j), args.derivative(j))
     values = values - explicit
 
-    return _analyze_samples(
-        "dbr", "regional", samples, values, [1, 2], 0, tol, problem.junction
-    )
+    return _analyze_samples("dbr", "regional", problem, samples, values, 0, tol)
 
 
 @dataclass(frozen=True)
@@ -465,15 +448,11 @@ class ResidualReport:
 
 
 def _residual_report(
-    quantity: str,
-    samples: list[tuple[float, tuple[float, float]]],
-    values: np.ndarray,
-    tol: float | None,
+    quantity: str, times: np.ndarray, values: np.ndarray, tol: float | None
 ) -> ResidualReport:
     """Pointwise verdict: max|r| against the absolute threshold ``tol``."""
     tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
     max_abs = float(np.max(np.abs(values))) if values.size else 0.0
-    times = np.array([t for t, _ in samples])
     return ResidualReport(quantity, times, values, tol, max_abs, max_abs <= tol)
 
 
@@ -483,6 +462,6 @@ def check_el_differential(
     grid: SampleGrid | None = None,
     tol: float | None = None,
 ) -> ResidualReport:
-    samples = sample_times(problem, traj, None, grid)
-    args = _Arguments(problem, traj, [t for t, _ in samples], 2 * problem.order)
-    return _residual_report("el-differential", samples, args.psi(0), tol)
+    times, _ = sample_times(problem, traj, None, grid)
+    args = _Arguments(problem, traj, times, 2 * problem.order)
+    return _residual_report("el-differential", times, args.psi(0), tol)

@@ -324,7 +324,7 @@ def integrate(
     lo, hi = window if window is not None else (problem.t1, problem.t2)
     snap = traj.snap
     if lo < problem.t1 - snap or hi > problem.t2 + snap:
-        raise FunctionalError(f"window [{lo!r}, {hi!r}] outside [t1, t2]")
+        raise FunctionalError(f"window [{float(lo)!r}, {float(hi)!r}] outside [t1, t2]")
     if hi <= lo:
         return 0.0
     nodes, weights = gauss_nodes(problem, traj, (lo, hi), quad)

@@ -6,14 +6,16 @@ gauge term Phi over the full delayed vocabulary.  Along a trajectory the
 package can evaluate the pointwise invariance residual (zero everywhere,
 for every admissible trajectory, iff the family leaves the functional
 invariant up to the gauge term) and the conserved charge that invariance
-buys on extremals, region by region.  The junction gap |C(junction-) -
-C(junction+)| is reported for diagnosis but deliberately excluded from the
-verdict: the charge is only guaranteed constant per region.
+buys on extremals, region by region.  ``check_conservation`` judges the
+charge like any first integral (a ``conditions.FirstIntegralReport``) and
+adds its junction gap |C(junction-) - C(junction+)|, which is reported for
+diagnosis but deliberately excluded from the verdict: the charge is only
+guaranteed constant per region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -204,18 +206,6 @@ def noether_charge(
     return total if np.ndim(t) else float(total[0])
 
 
-@dataclass(frozen=True)
-class ConservationReport:
-    """Per-region constancy of the Noether charge plus the junction gap."""
-
-    charge: FirstIntegralReport
-    junction_gap: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.charge.verdict
-
-
 def check_invariance(
     problem: Problem,
     traj: PiecewiseTrajectory,
@@ -223,9 +213,9 @@ def check_invariance(
     grid: SampleGrid | None = None,
     tol: float | None = None,
 ) -> ResidualReport:
-    samples = sample_times(problem, traj, None, grid)
-    values = invariance_residual(problem, traj, sym, [t for t, _ in samples])
-    return _residual_report("invariance", samples, values, tol)
+    times, _ = sample_times(problem, traj, None, grid)
+    values = invariance_residual(problem, traj, sym, times)
+    return _residual_report("invariance", times, values, tol)
 
 
 def check_conservation(
@@ -234,14 +224,12 @@ def check_conservation(
     sym: SymmetryCandidate,
     grid: SampleGrid | None = None,
     tol: float | None = None,
-) -> ConservationReport:
-    """Sample the Noether charge and decide per-region constancy."""
+) -> FirstIntegralReport:
+    """Sample the Noether charge, decide per-region constancy, add the gap."""
     sym.check_against(problem)
     samples = sample_times(problem, traj, None, grid)
-    values = noether_charge(problem, traj, sym, [t for t, _ in samples])
-    report = _analyze_samples(
-        "noether", "regional", samples, values, [1, 2], 0, tol, problem.junction
-    )
+    values = noether_charge(problem, traj, sym, samples[0])
+    report = _analyze_samples("noether", "regional", problem, samples, values, 0, tol)
     left = noether_charge(problem, traj, sym, problem.junction, "left")
     right = noether_charge(problem, traj, sym, problem.junction, "right")
-    return ConservationReport(report, abs(left - right))
+    return replace(report, junction_gap=abs(left - right))

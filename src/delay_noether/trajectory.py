@@ -144,7 +144,7 @@ class PiecewiseTrajectory:
             j, k = failing[0]
             raise TrajectoryError(
                 f"derivative {k} jumps by {float(gaps[k, j]):.3e} at "
-                f"breakpoint {self.breakpoints[j + 1]!r} (tol {tol:.3e})"
+                f"breakpoint {float(self.breakpoints[j + 1])!r} (tol {tol:.3e})"
             )
 
     @property
@@ -166,7 +166,7 @@ class PiecewiseTrajectory:
         outside = ~((ts >= bp[0] - snap) & (ts <= bp[-1] + snap))
         if outside.any():
             bad = float(ts.flat[np.argmax(outside)])
-            raise TrajectoryError(f"t={bad!r} outside domain [{bp[0]!r}, {bp[-1]!r}]")
+            raise TrajectoryError(f"t={bad!r} outside domain {list(self.domain)!r}")
         index = locate(bp, ts, side, snap)
         return index if index.ndim else int(index)
 

@@ -1,5 +1,6 @@
-"""The benchmark stays runnable: one short untraced run of the solver
-workload through ``benchmarks/run.py`` must check every answer correct."""
+"""The benchmark stays runnable: one short untraced run of a workload
+through ``benchmarks/run.py`` must check every answer correct.  The solver
+workload and the bundle ``report`` workload are run."""
 
 import json
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_solve_workload_runs_and_is_correct():
+def run_workload(name: str) -> dict:
     completed = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", "solve-o1",
+        [sys.executable, "benchmarks/run.py", "--workload", name,
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
     )
@@ -20,3 +21,12 @@ def test_solve_workload_runs_and_is_correct():
     assert result["failed"] == 0
     assert result["attempted"] > 0
     assert result["metrics"]["op_s.p50"]["value"] > 0
+    return result
+
+
+def test_solve_workload_runs_and_is_correct():
+    run_workload("solve-o1")
+
+
+def test_report_workload_runs_and_is_correct():
+    run_workload("report-bundle")

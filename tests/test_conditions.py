@@ -13,7 +13,6 @@ from delay_noether import (
     ResidualReport,
     SampleGrid,
     block_term,
-    block_terms,
     check_el_differential,
     dbr_first_integral,
     effective_segment,
@@ -28,7 +27,7 @@ from delay_noether import (
     total_derivative,
 )
 from delay_noether import conditions, functional
-from delay_noether.conditions import _folded_integral
+from delay_noether.conditions import _Arguments, _folded_integral
 
 
 def modified_problem():
@@ -125,11 +124,18 @@ class TestRegions:
         with pytest.raises(FunctionalError, match="outside"):
             effective_segment(problem, traj_el_only, -0.5)
 
+    def test_outside_messages_print_plain_floats(self, problem, traj_el_only):
+        with pytest.raises(FunctionalError, match=r"^t=-0\.5 outside \[t1, t2\]$"):
+            effective_segment(problem, traj_el_only, np.float64(-0.5))
+        with pytest.raises(ValueError, match=r"^t=5\.0 outside domain \[-1\.0, 3\.0\]$"):
+            traj_el_only.eval([5.0])
+
 
 class TestPsi:
     def test_block_term_is_a_row_of_block_terms(self, problem, traj_el_only):
         for t, region in ((0.5, 1), (2.5, 2)):
-            rows = block_terms(problem, traj_el_only, range(2), t, region)
+            args = _Arguments(problem, traj_el_only, [t], problem.order, "right", region)
+            rows = args.block_terms(range(2))[:, 0]
             assert rows.shape == (2, 1)
             for k in range(2):
                 assert np.array_equal(
@@ -206,35 +212,54 @@ class TestPsi:
 
 class TestSampleGrid:
     def test_budget_is_respected(self, problem, traj_el_only):
-        samples = sample_times(problem, traj_el_only, grid=SampleGrid(points=7))
-        assert len(samples) == 7
-        samples = sample_times(problem, traj_el_only)
-        assert len(samples) == 200
+        times, intervals = sample_times(problem, traj_el_only, grid=SampleGrid(points=7))
+        assert times.shape == (7,) and intervals.shape == (7, 2)
+        times, intervals = sample_times(problem, traj_el_only)
+        assert times.shape == (200,) and intervals.shape == (200, 2)
 
     def test_margins_keep_clear_of_effective_breakpoints(self, problem, traj_el_only):
         cuts = [0.0, 1.0, 2.0, 3.0]
-        for t, (a, b) in sample_times(problem, traj_el_only):
+        for t, (a, b) in zip(*sample_times(problem, traj_el_only)):
             assert min(abs(t - c) for c in cuts) >= 0.05 - 1e-12
             assert a + 0.05 - 1e-12 <= t <= b - 0.05 + 1e-12
 
     def test_window_restricts_sampling(self, problem, traj_el_only):
-        samples = sample_times(problem, traj_el_only, window=(0.0, 1.0))
-        assert len(samples) == 200
-        assert all(interval == (0.0, 1.0) for _, interval in samples)
+        times, intervals = sample_times(problem, traj_el_only, window=(0.0, 1.0))
+        assert len(times) == 200
+        assert all(tuple(interval) == (0.0, 1.0) for interval in intervals)
 
     def test_sliver_segments_get_interior_samples(self):
         prob, traj = helpers.oscillator()
-        samples = sample_times(prob, traj, grid=SampleGrid(points=40))
-        widths = {round(b - a, 9) for _, (a, b) in samples}
+        times, intervals = sample_times(prob, traj, grid=SampleGrid(points=40))
+        widths = {round(b - a, 9) for a, b in intervals}
         assert min(widths) <= 2e-3  # slivers created by the tiny delay
-        for t, (a, b) in samples:
+        for t, (a, b) in zip(times, intervals):
             assert a < t < b
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="points"):
             SampleGrid(points=0)
-        with pytest.raises(ValueError, match="margin"):
-            SampleGrid(margin=0.5)
+
+    @pytest.mark.parametrize("case", ["bundle", "oscillator", "random"])
+    def test_regions_of_samples_split_at_the_junction(self, case, problem, traj_el_only):
+        # The first-integral fits take each sample's region from region_of;
+        # on samples that agrees with the plain rule t <= junction, because
+        # the junction is a segment end and samples keep clear of it.
+        if case == "oscillator":
+            problem, traj = helpers.oscillator()
+        elif case == "random":
+            traj = helpers.random_lipschitz_trajectory(
+                np.random.default_rng(7), -1.0, 3.0
+            )
+        else:
+            traj = traj_el_only
+        junction = problem.junction
+        times, intervals = sample_times(problem, traj)
+        assert np.any(intervals == junction)
+        expected = np.where(times <= junction, 1, 2)
+        assert np.array_equal(region_of(problem, times), expected)
+        margin = conditions._MARGIN * (intervals[:, 1] - intervals[:, 0])
+        assert np.all(np.abs(times - junction) >= margin * (1 - 1e-9))
 
 
 class TestElDifferentialCheck:
@@ -326,7 +351,7 @@ class TestElIntegralCheck:
         monkeypatch.setattr(Problem, "bindings", counted)
         monkeypatch.setattr(Problem, "args", per_point)
         el_first_integral(prob, traj)
-        times = np.array([t for t, _ in sample_times(prob, traj)])
+        times, _ = sample_times(prob, traj)
         nodes, _ = gauss_nodes(prob, traj, (prob.t1, prob.t2), None, times)
         points = np.concatenate([nodes, times])
         expected = sum(1 + (region_of(prob, float(t)) == 1) for t in points)

@@ -189,6 +189,17 @@ class TestTrajectoriesSection:
         parsed = parse_document(doc)
         assert parsed.trajectory().continuity_tol == 0.01
 
+    def test_jump_names_its_breakpoint_as_a_plain_float(self):
+        doc = base_doc()
+        doc["trajectory"] = {
+            "breakpoints": [-1.0, 0.0, 1.0, 3.0],
+            "segments": [[[1.0, -1.0]], [[0.0, 1.0]], [[5.0, 0.0]]],
+        }
+        with pytest.raises(DocumentError) as raised:
+            parse_document(doc)
+        assert "derivative 0 jumps by 4.000e+00 at breakpoint 1.0 " in str(raised.value)
+        assert "np." not in str(raised.value)
+
 
 class TestSymmetrySection:
     def test_gauge_defaults_to_zero(self):

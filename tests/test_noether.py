@@ -116,7 +116,7 @@ class TestInvariance:
 
         for _ in range(5):
             traj = helpers.random_lipschitz_trajectory(rng, -1.0, 3.0)
-            for t, _interval in sample_times(problem, traj, grid=SampleGrid(points=30)):
+            for t in sample_times(problem, traj, grid=SampleGrid(points=30))[0]:
                 assert abs(invariance_residual(problem, traj, symmetry, t)) <= 1e-8
 
     def test_non_invariant_candidate_is_detected(self, problem, traj_el_only):
@@ -186,8 +186,8 @@ class TestNoetherCharge:
     ):
         report = check_conservation(problem, traj_el_only, symmetry)
         assert not report.verdict
-        assert report.charge.quantity == "noether"
-        constants = {seg.interval: seg.constant for seg in report.charge.segments}
+        assert report.quantity == "noether"
+        constants = {seg.interval: seg.constant for seg in report.segments}
         assert constants[(0.0, 1.0)] == pytest.approx([-4.0], abs=1e-9)
         assert constants[(1.0, 2.0)] == pytest.approx([0.0], abs=1e-9)
         assert constants[(2.0, 3.0)] == pytest.approx([0.0], abs=1e-9)
@@ -200,7 +200,7 @@ class TestNoetherCharge:
     ):
         report = check_conservation(problem, traj_el_dbr, symmetry)
         assert report.verdict
-        for fit in report.charge.regions:
+        for fit in report.regions:
             assert fit.constant == pytest.approx([0.0], abs=1e-9)
         assert report.junction_gap <= 1e-9
 
@@ -210,7 +210,7 @@ class TestNoetherCharge:
         shift = SymmetryCandidate.from_sources(1, 1, "0", ["1"])
         report = check_conservation(problem, traj_el_only, shift)
         assert report.verdict
-        by_region = {fit.region: fit for fit in report.charge.regions}
+        by_region = {fit.region: fit for fit in report.regions}
         assert by_region[1].constant == pytest.approx([4.0], abs=1e-9)
         assert by_region[2].constant == pytest.approx([0.0], abs=1e-9)
         assert report.junction_gap == pytest.approx(4.0, abs=1e-9)
@@ -222,7 +222,7 @@ class TestNoetherCharge:
         sym = SymmetryCandidate.from_sources(1, 3, "1", ["0"])
         report = check_conservation(prob, traj, sym)
         assert report.verdict
-        for fit in report.charge.regions:
+        for fit in report.regions:
             assert fit.constant == pytest.approx([0.0], abs=1e-9)
         assert report.junction_gap <= 1e-9
 
@@ -231,7 +231,7 @@ class TestNoetherCharge:
         sym = SymmetryCandidate.from_sources(1, 1, "1", ["0"])
         report = check_conservation(prob, traj, sym, grid=SampleGrid(points=40))
         assert report.verdict
-        for fit in report.charge.regions:
+        for fit in report.regions:
             assert fit.constant == pytest.approx([-1.0], abs=1e-6)
 
     def test_batched_charge_matches_a_scalar_oracle_bit_for_bit(self):
