@@ -28,13 +28,17 @@ from .conditions import (
     FirstIntegralReport,
     ResidualReport,
     SampleGrid,
+    Samples,
+    _dbr_check,
+    _el_check,
+    _el_integral_check,
     check_el_differential,
     dbr_first_integral,
     el_first_integral,
 )
 from .document import DocumentError, ProblemDocument, load_document
 from .functional import action
-from .noether import check_conservation, check_invariance
+from .noether import _conservation_check, check_conservation, check_invariance
 from .solver import DEFAULT_GRAD_TOL, GridSpec, NewtonStep, minimize
 from .trajectory import PiecewiseTrajectory
 
@@ -259,10 +263,11 @@ def cmd_report(args) -> int:
     tol = doc.first_integral_tol()
     problem = doc.problem
 
-    el = check_el_differential(problem, traj, grid, tol)
-    el_integral = el_first_integral(problem, traj, "regional", grid, doc.quadrature, tol)
-    dbr = dbr_first_integral(problem, traj, grid, doc.quadrature, tol)
-    conservation = check_conservation(problem, traj, doc.symmetry, grid, tol)
+    samples = Samples(problem, traj, grid, doc.quadrature)  # shared by every check
+    el = _el_check(samples, tol)
+    el_integral = _el_integral_check(samples, "regional", tol)
+    dbr = _dbr_check(samples, tol)
+    conservation = _conservation_check(samples, doc.symmetry, tol)
     the_action = action(problem, traj, doc.quadrature)
 
     def yesno(flag: bool) -> str:

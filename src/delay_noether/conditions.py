@@ -10,14 +10,12 @@ they do not).  This module evaluates, along a candidate trajectory:
   across the junction),
 * the DuBois-Reymond first integral, constant per region.
 
-Every sampled check takes its times, and the effective segment of each,
-as arrays from ``sample_times``; ``region_of`` assigns them to regions, and
-one ``FirstIntegralReport`` carries each first-integral verdict, the
-Noether charge's included.
-
-The integral-form and DuBois-Reymond checks each integrate on one Gauss
-table (``functional.gauss_nodes``) whose panels end at the effective
-breakpoints and at the sample times.
+Every sampled check reads its inputs from one ``Samples`` record: the
+times and effective segments of ``sample_times``, their regions
+(``region_of``), the Gauss table (``functional.gauss_nodes``) whose panels
+end at the effective breakpoints and at the samples, and the arguments at
+both.  ``report`` shares one record among its checks.  Nested integrals are
+running sums over the panels of moments about a fixed centre.
 
 Time derivatives are exact: trajectories are piecewise polynomials and L
 is symbolic, so the total derivatives inside psi^j are expressions
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -227,6 +226,47 @@ def sample_times(
     return np.concatenate(times), np.repeat(spans, counts, axis=0)
 
 
+class Samples:
+    """The inputs the sampled checks share: the sample times, effective
+    segments and regions and, built on first use, the samples grouped by
+    segment, the Gauss table cut at the samples, and the arguments at the
+    samples (depth 2m, enough for every check) and at the nodes (depth m)."""
+
+    def __init__(self, problem, traj, grid=None, quad=None):
+        self.problem, self.traj, self.quad = problem, traj, quad or QuadratureSpec()
+        self.times, self.intervals = sample_times(problem, traj, None, grid)
+        self.regions = region_of(problem, self.times)
+
+    @cached_property
+    def segments(self) -> list[tuple[tuple[float, float], slice]]:
+        """Each segment (Python floats) with the slice of its adjacent samples."""
+        edges = np.flatnonzero(np.any(np.diff(self.intervals, axis=0), axis=1)) + 1
+        edges = [0, *edges.tolist(), self.times.size]
+        return [
+            (tuple(self.intervals[a].tolist()), slice(a, b))
+            for a, b in zip(edges, edges[1:])
+        ]
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        p = self.problem
+        return gauss_nodes(p, self.traj, (p.t1, p.t2), self.quad, self.times)
+
+    @cached_property
+    def at_samples(self) -> _Arguments:
+        depth = 2 * self.problem.order
+        return _Arguments(self.problem, self.traj, self.times, depth, regions=self.regions)
+
+    @cached_property
+    def at_nodes(self) -> _Arguments:
+        return _Arguments(self.problem, self.traj, self.table[0], self.problem.order)
+
+    def fold(self, table: np.ndarray, bases, k: int) -> np.ndarray:
+        """``_folded_integral`` of ``table`` at the nodes, at the samples."""
+        points = self.quad.gauss_points
+        return _folded_integral(*self.table, table, bases, self.times, k, points)
+
+
 @dataclass(frozen=True)
 class SegmentFit:
     """Diagnostic for one effective segment: the mean of the sampled
@@ -288,8 +328,7 @@ DEFAULT_FIRST_INTEGRAL_TOL = 1e-7
 def _analyze_samples(
     quantity: str,
     mode: str,
-    problem: Problem,
-    samples: tuple[np.ndarray, np.ndarray],
+    samples: Samples,
     values: np.ndarray,
     degree: int,
     tol: float | None,
@@ -298,7 +337,7 @@ def _analyze_samples(
     deviation from the fit, per region (``regional`` mode) or across
     [t1, t2] (``global``), against ``tol`` times the values' scale."""
     tol = DEFAULT_FIRST_INTEGRAL_TOL if tol is None else tol
-    times, intervals = samples
+    times = samples.times
     if values.ndim == 1:
         values = values[:, None]
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
@@ -306,9 +345,8 @@ def _analyze_samples(
     region_fits = []
     max_dev = 0.0
     deviations = np.zeros(times.size)
-    membership = region_of(problem, times)
     for region in (1, 2) if mode == "regional" else (None,):
-        mask = np.ones(times.size, bool) if region is None else membership == region
+        mask = np.ones(times.size, bool) if region is None else samples.regions == region
         if not np.any(mask):
             continue
         coeffs, resid = _fit_polynomial(times[mask], values[mask], degree)
@@ -319,17 +357,12 @@ def _analyze_samples(
 
     segment_fits = []
     failing = []
-    _, first, segment = np.unique(
-        intervals, axis=0, return_index=True, return_inverse=True
-    )
-    for index in np.argsort(first):  # segments in order of first appearance
-        interval = tuple(intervals[first[index]].tolist())  # Python floats
-        mask = segment.ravel() == index
-        segment_values = values[mask]
+    for interval, rows in samples.segments:
+        segment_values = values[rows]
         constant = segment_values.mean(axis=0)
         seg_dev = float(np.max(np.abs(segment_values - constant)))
         segment_fits.append(SegmentFit(interval, constant, seg_dev))
-        if float(np.max(deviations[mask])) > tol * scale:
+        if float(np.max(deviations[rows])) > tol * scale:
             failing.append(interval)
 
     verdict = all(fit.holds for fit in region_fits)
@@ -355,23 +388,48 @@ def _folded_integral(
     bases: np.ndarray | float,
     times: np.ndarray,
     k: int,
+    points: int,
 ) -> np.ndarray:
     """k-fold nested integral, from each base to its time, of the function
-    tabulated at the Gauss ``nodes`` (one row of ``table`` per node).
+    tabulated at the Gauss ``nodes`` (one row of ``table`` per node), where
+    every panel of the rule holds ``points`` consecutive nodes.
 
-    Cauchy's formula collapses it to 1/(k-1)! int_base^t (t - s)^(k-1) f(s) ds,
-    a weighted sum over the nodes between base and t; both must be panel
-    ends of the rule, so no panel straddles them.
+    Cauchy's formula collapses it to 1/(k-1)! int_base^t (t - s)^(k-1) f(s) ds.
+    Expanding the kernel about a fixed centre z gives
+    sum_j C(k-1, j) (t - z)^(k-1-j) [S_j(t) - S_j(base)], where S_j is the
+    running sum over panels of the moments sum_i w_i (z - s_i)^j f(s_i).
+    Each base and time must be a panel end, so no panel straddles them.
     """
     bases = np.broadcast_to(bases, times.shape)
-    scale = 1.0 / math.factorial(k - 1)
-    out = np.zeros((times.size,) + table.shape[1:])
-    starts = np.searchsorted(nodes, np.minimum(times, bases))
-    ends = np.searchsorted(nodes, np.maximum(times, bases))
-    for row, (t, base, lo, hi) in enumerate(zip(times, bases, starts, ends)):
-        kernel = weights[lo:hi] * scale * (t - nodes[lo:hi]) ** (k - 1)
-        out[row] = (1.0 if t >= base else -1.0) * (kernel @ table[lo:hi])
-    return out
+    flat = table.reshape(nodes.size, -1)
+    width = flat.shape[1]
+    centre = 0.5 * (nodes[0] + nodes[-1])
+    lo = np.searchsorted(nodes, np.minimum(times, bases)) // points
+    hi = np.searchsorted(nodes, np.maximum(times, bases)) // points
+    moment = weights[:, None] * flat  # j = 0
+    out = np.zeros((times.size, width))
+    for j in range(k):
+        panels = moment.reshape(-1, points, width).sum(axis=1)
+        running = np.concatenate([np.zeros((1, width)), np.cumsum(panels, axis=0)])
+        power = math.comb(k - 1, j) * (times - centre) ** (k - 1 - j)
+        out += power[:, None] * (running[hi] - running[lo])
+        moment = moment * (centre - nodes)[:, None]
+    sign = np.where(times >= bases, 1.0, -1.0) / math.factorial(k - 1)
+    return (sign[:, None] * out).reshape(times.shape + table.shape[1:])
+
+
+def _el_integral_check(samples: Samples, mode: str, tol) -> FirstIntegralReport:
+    problem, m = samples.problem, samples.problem.order
+    node_terms = samples.at_nodes.block_terms(range(m))
+    values = np.zeros((samples.times.size, problem.dim))
+    for i in range(m + 1):
+        sign = -1.0 if (m - i - 1) % 2 else 1.0
+        if i == m:
+            term = samples.at_samples.block_terms([m])[0]
+        else:
+            term = samples.fold(node_terms[i], problem.junction, m - i)
+        values = values + sign * term
+    return _analyze_samples("el-integral", mode, samples, values, m - 1, tol)
 
 
 def el_first_integral(
@@ -391,23 +449,19 @@ def el_first_integral(
     """
     if mode not in ("regional", "global"):
         raise ValueError(f"mode must be 'regional' or 'global', got {mode!r}")
-    m = problem.order
-    samples = sample_times(problem, traj, None, grid)
-    times = samples[0]
-    nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
-    node_terms = _Arguments(problem, traj, nodes, m).block_terms(range(m))
-    values = np.zeros((times.size, problem.dim))
-    for i in range(m + 1):
-        sign = -1.0 if (m - i - 1) % 2 else 1.0
-        if i == m:
-            term = _Arguments(problem, traj, times, m).block_terms([m])[0]
-        else:
-            term = _folded_integral(
-                nodes, weights, node_terms[i], problem.junction, times, m - i
-            )
-        values = values + sign * term
+    return _el_integral_check(Samples(problem, traj, grid, quad), mode, tol)
 
-    return _analyze_samples("el-integral", mode, problem, samples, values, m - 1, tol)
+
+def _dbr_check(samples: Samples, tol) -> FirstIntegralReport:
+    problem, args = samples.problem, samples.at_samples
+    rates = samples.at_nodes.value(problem.compiled_partial_t)
+    starts = np.where(args.regions == 1, problem.t1, problem.junction)
+    explicit = samples.fold(rates, starts, 1)
+    values = args.value(problem.compiled_lagrangian)
+    for j in range(1, problem.order + 1):
+        values = values - _dot(args.psi(j), args.derivative(j))
+    values = values - explicit
+    return _analyze_samples("dbr", "regional", samples, values, 0, tol)
 
 
 def dbr_first_integral(
@@ -419,20 +473,7 @@ def dbr_first_integral(
 ) -> FirstIntegralReport:
     """DuBois-Reymond first integral, constant on each region:
     L - sum_j psi^j . q^(j) - int d/dt-partial of L from the region start."""
-    m = problem.order
-    samples = sample_times(problem, traj, None, grid)
-    times = samples[0]
-    args = _Arguments(problem, traj, times, 2 * m - 1)
-    nodes, weights = gauss_nodes(problem, traj, (problem.t1, problem.t2), quad, times)
-    rates = columns([problem.compiled_partial_t], problem.bindings(traj, nodes, m))[:, 0]
-    starts = np.where(args.regions == 1, problem.t1, problem.junction)
-    explicit = _folded_integral(nodes, weights, rates, starts, times, 1)
-    values = args.value(problem.compiled_lagrangian)
-    for j in range(1, m + 1):
-        values = values - _dot(args.psi(j), args.derivative(j))
-    values = values - explicit
-
-    return _analyze_samples("dbr", "regional", problem, samples, values, 0, tol)
+    return _dbr_check(Samples(problem, traj, grid, quad), tol)
 
 
 @dataclass(frozen=True)
@@ -456,12 +497,15 @@ def _residual_report(
     return ResidualReport(quantity, times, values, tol, max_abs, max_abs <= tol)
 
 
+def _el_check(samples: Samples, tol) -> ResidualReport:
+    values = samples.at_samples.psi(0)
+    return _residual_report("el-differential", samples.times, values, tol)
+
+
 def check_el_differential(
     problem: Problem,
     traj: PiecewiseTrajectory,
     grid: SampleGrid | None = None,
     tol: float | None = None,
 ) -> ResidualReport:
-    times, _ = sample_times(problem, traj, None, grid)
-    args = _Arguments(problem, traj, times, 2 * problem.order)
-    return _residual_report("el-differential", times, args.psi(0), tol)
+    return _el_check(Samples(problem, traj, grid), tol)

@@ -25,11 +25,11 @@ from .conditions import (
     FirstIntegralReport,
     ResidualReport,
     SampleGrid,
+    Samples,
     _analyze_samples,
     _Arguments,
     _dot,
     _residual_report,
-    sample_times,
 )
 from .functional import Problem, columns, compiled_property
 from .trajectory import PiecewiseTrajectory
@@ -155,6 +155,19 @@ def rho(
     return columns(sym.compiled_rho[i], _point(traj, t, side, i))[0]
 
 
+def _invariance(problem: Problem, sym: SymmetryCandidate, args: _Arguments):
+    """The invariance defect at the rows of ``args`` (depth >= m + 1)."""
+    m = problem.order
+    value = args.value
+    total = -value(sym.compiled_gauge_dot)
+    total = total + value(problem.compiled_partial_t) * value(sym.compiled_eta)
+    total = total + value(problem.compiled_lagrangian) * value(sym.compiled_eta_dot)
+    coeffs = args.block_terms(range(m + 1))
+    for i in range(m + 1):
+        total = total + _dot(coeffs[i], columns(sym.compiled_rho[i], args.here))
+    return total
+
+
 def invariance_residual(
     problem: Problem,
     traj: PiecewiseTrajectory,
@@ -169,17 +182,22 @@ def invariance_residual(
     an invariance family of the functional up to the gauge term.
     """
     sym.check_against(problem)
-    m = problem.order
     # D_t Phi reaches one derivative order above the problem's.
-    args = _Arguments(problem, traj, np.atleast_1d(t), m + 1, side)
-    value = args.value
-    total = -value(sym.compiled_gauge_dot)
-    total = total + value(problem.compiled_partial_t) * value(sym.compiled_eta)
-    total = total + value(problem.compiled_lagrangian) * value(sym.compiled_eta_dot)
-    coeffs = args.block_terms(range(m + 1))
-    for i in range(m + 1):
-        total = total + _dot(coeffs[i], columns(sym.compiled_rho[i], args.here))
+    args = _Arguments(problem, traj, np.atleast_1d(t), problem.order + 1, side)
+    total = _invariance(problem, sym, args)
     return total if np.ndim(t) else float(total[0])
+
+
+def _charge(problem: Problem, sym: SymmetryCandidate, args: _Arguments):
+    """The Noether charge at the rows of ``args`` (depth >= 2m - 1)."""
+    total = np.zeros(args.regions.shape)
+    kinetic = args.value(problem.compiled_lagrangian)
+    for j in range(1, problem.order + 1):
+        momentum = args.psi(j)
+        total = total + _dot(momentum, columns(sym.compiled_rho[j - 1], args.here))
+        kinetic = kinetic - _dot(momentum, args.derivative(j))
+    total = total + kinetic * args.value(sym.compiled_eta)
+    return total - args.value(sym.compiled_gauge)
 
 
 def noether_charge(
@@ -193,16 +211,8 @@ def noether_charge(
     sum_j psi^j . rho^(j-1) + (L - sum_j psi^j . q^(j)) eta - Phi at t: a
     float for one time, an array for an array of times."""
     sym.check_against(problem)
-    m = problem.order
-    args = _Arguments(problem, traj, np.atleast_1d(t), 2 * m - 1, side)
-    total = np.zeros(args.regions.shape)
-    kinetic = args.value(problem.compiled_lagrangian)
-    for j in range(1, m + 1):
-        momentum = args.psi(j)
-        total = total + _dot(momentum, columns(sym.compiled_rho[j - 1], args.here))
-        kinetic = kinetic - _dot(momentum, args.derivative(j))
-    total = total + kinetic * args.value(sym.compiled_eta)
-    total = total - args.value(sym.compiled_gauge)
+    args = _Arguments(problem, traj, np.atleast_1d(t), 2 * problem.order - 1, side)
+    total = _charge(problem, sym, args)
     return total if np.ndim(t) else float(total[0])
 
 
@@ -213,9 +223,21 @@ def check_invariance(
     grid: SampleGrid | None = None,
     tol: float | None = None,
 ) -> ResidualReport:
-    times, _ = sample_times(problem, traj, None, grid)
-    values = invariance_residual(problem, traj, sym, times)
-    return _residual_report("invariance", times, values, tol)
+    samples = Samples(problem, traj, grid)
+    sym.check_against(problem)
+    values = _invariance(problem, sym, samples.at_samples)
+    return _residual_report("invariance", samples.times, values, tol)
+
+
+def _conservation_check(samples: Samples, sym, tol) -> FirstIntegralReport:
+    """The sampled charge's per-region constancy, plus the junction gap."""
+    problem, traj = samples.problem, samples.traj
+    sym.check_against(problem)
+    values = _charge(problem, sym, samples.at_samples)
+    report = _analyze_samples("noether", "regional", samples, values, 0, tol)
+    left = noether_charge(problem, traj, sym, problem.junction, "left")
+    right = noether_charge(problem, traj, sym, problem.junction, "right")
+    return replace(report, junction_gap=abs(left - right))
 
 
 def check_conservation(
@@ -226,10 +248,4 @@ def check_conservation(
     tol: float | None = None,
 ) -> FirstIntegralReport:
     """Sample the Noether charge, decide per-region constancy, add the gap."""
-    sym.check_against(problem)
-    samples = sample_times(problem, traj, None, grid)
-    values = noether_charge(problem, traj, sym, samples[0])
-    report = _analyze_samples("noether", "regional", problem, samples, values, 0, tol)
-    left = noether_charge(problem, traj, sym, problem.junction, "left")
-    right = noether_charge(problem, traj, sym, problem.junction, "right")
-    return replace(report, junction_gap=abs(left - right))
+    return _conservation_check(Samples(problem, traj, grid), sym, tol)

@@ -225,10 +225,11 @@ class PiecewiseTrajectory:
 
     def to_json_dict(self) -> dict:
         """Breakpoints and coefficient lists, trailing zeros trimmed."""
+        nonzero = self.coefficients[..., ::-1] != 0  # the last nonzero first
+        keep = np.where(nonzero.any(-1), nonzero.shape[-1] - nonzero.argmax(-1), 1)
         segments = [
-            [coords[: 1 + max(np.flatnonzero(coords), default=0)].tolist()
-             for coords in block]
-            for block in self.coefficients
+            [coords[:n] for coords, n in zip(block, sizes)]
+            for block, sizes in zip(self.coefficients.tolist(), keep.tolist())
         ]
         return {"breakpoints": self.breakpoints.tolist(), "segments": segments}
 

@@ -388,3 +388,29 @@ def scalar_charge(problem, traj, sym, t: float, side: str = "right") -> float:
     total += kinetic * evaluate(sym.eta, here)
     total -= evaluate(sym.gauge, here)
     return total
+
+
+def reference_folded_integral(
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    table: np.ndarray,
+    bases: np.ndarray | float,
+    times: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """k-fold nested integral, from each base to its time, of the function
+    tabulated at the Gauss ``nodes`` (one row of ``table`` per node).
+
+    Cauchy's formula collapses it to 1/(k-1)! int_base^t (t - s)^(k-1) f(s) ds,
+    a weighted sum over the nodes between base and t; both must be panel
+    ends of the rule, so no panel straddles them.
+    """
+    bases = np.broadcast_to(bases, times.shape)
+    scale = 1.0 / math.factorial(k - 1)
+    out = np.zeros((times.size,) + table.shape[1:])
+    starts = np.searchsorted(nodes, np.minimum(times, bases))
+    ends = np.searchsorted(nodes, np.maximum(times, bases))
+    for row, (t, base, lo, hi) in enumerate(zip(times, bases, starts, ends)):
+        kernel = weights[lo:hi] * scale * (t - nodes[lo:hi]) ** (k - 1)
+        out[row] = (1.0 if t >= base else -1.0) * (kernel @ table[lo:hi])
+    return out

@@ -1,6 +1,8 @@
 """The benchmark stays runnable: one short untraced run of a workload
-through ``benchmarks/run.py`` must check every answer correct.  The solver
-workload and the bundle ``report`` workload are run."""
+through ``benchmarks/run.py`` must check every answer correct.  Every
+workload is run: the higher-order checks and the fine-grid report pass the
+order-2 and order-3 folded integrals and the 15-segment report through the
+benchmark's closed-form oracles."""
 
 import json
 import subprocess
@@ -30,3 +32,11 @@ def test_solve_workload_runs_and_is_correct():
 
 def test_report_workload_runs_and_is_correct():
     run_workload("report-bundle")
+
+
+def test_higher_order_check_workload_runs_and_is_correct():
+    run_workload("check-high")
+
+
+def test_fine_report_workload_runs_and_is_correct():
+    run_workload("report-fine")

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from delay_noether import (
     el_first_integral,
     load_document,
 )
+from delay_noether import Problem, cli, conditions, functional, noether
 from delay_noether.cli import main
 
 BUNDLE = str(bundled_problem_path())
@@ -273,6 +275,35 @@ class TestReport:
         assert payload["el"]["verdict"] is True
         assert payload["dbr"]["verdict"] is False
         assert payload["noether"]["junction_gap"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_checks_share_one_set_up(self, capsys, monkeypatch):
+        # One sample grid, one Gauss table cut at the samples (the action
+        # builds its own) and one argument batch per point set, each with
+        # its batch at t + tau: 2 at the samples, 2 at the nodes, 2 for each
+        # one-sided charge at the junction and 1 for the action.
+        calls = Counter()
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        originals = {
+            "sample_times": conditions.sample_times,
+            "gauss_nodes": functional.gauss_nodes,
+        }
+        for module in (functional, conditions, noether, cli):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        monkeypatch.setattr(Problem, "bindings", counting("bindings", Problem.bindings))
+        code, _, _ = run(capsys, "report", BUNDLE, "--json")
+        assert code == 0
+        assert calls["sample_times"] == 1
+        assert calls["gauss_nodes"] == 2
+        assert calls["bindings"] <= 9
 
 
 class TestErrors:

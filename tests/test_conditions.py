@@ -359,7 +359,52 @@ class TestElIntegralCheck:
         assert sum(batches) == expected == 3174
 
 
+POINTS = QuadratureSpec().gauss_points
+
+
+def random_rule(rng: np.random.Generator, points: int):
+    """A composite Gauss rule on random panels of a random window: its
+    nodes, weights and panel ends."""
+    lo = rng.uniform(-2.0, 1.0)
+    ends = np.concatenate([[lo], lo + np.cumsum(rng.uniform(0.01, 0.6, 24))])
+    x, w = np.polynomial.legendre.leggauss(points)
+    mid, half = 0.5 * (ends[1:] + ends[:-1]), 0.5 * np.diff(ends)
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    return nodes, weights, ends
+
+
 class TestFoldedIntegral:
+    @pytest.mark.parametrize("points", [1, 3, 8])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_running_sums_match_the_per_sample_loop(self, points, dim, k):
+        # Random tables, every time and base a random panel end, so bases
+        # lie on both sides of their times (and on them).
+        rng = np.random.default_rng(100 * points + 10 * dim + k)
+        nodes, weights, ends = random_rule(rng, points)
+        table = rng.normal(size=(nodes.size, dim)) * rng.uniform(0.1, 10.0)
+        times = rng.choice(ends, 40)
+        for bases in (rng.choice(ends, 40), float(rng.choice(ends))):
+            expected = helpers.reference_folded_integral(
+                nodes, weights, table, bases, times, k
+            )
+            folded = _folded_integral(nodes, weights, table, bases, times, k, points)
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+            assert folded.shape == expected.shape
+            assert np.max(np.abs(folded - expected)) <= bound
+
+    def test_a_one_dimensional_table_gives_one_value_per_time(self):
+        rng = np.random.default_rng(7)
+        nodes, weights, ends = random_rule(rng, 3)
+        table, times = rng.normal(size=nodes.size), ends[::5]
+        expected = helpers.reference_folded_integral(
+            nodes, weights, table, ends[0], times, 1
+        )
+        folded = _folded_integral(nodes, weights, table, ends[0], times, 1, 3)
+        assert folded.shape == times.shape
+        assert folded == pytest.approx(expected, abs=1e-12)
+
     def test_folds_of_one_are_oriented_powers(self, problem, traj_el_only):
         # k-fold integral of 1 from base to t is (t - base)^k / k!, on both
         # sides of base; the sign for odd k pins the orientation.
@@ -370,7 +415,7 @@ class TestFoldedIntegral:
         )
         ones = np.ones((nodes.size, 1))
         for k in (1, 2, 3):
-            folded = _folded_integral(nodes, weights, ones, base, times, k)
+            folded = _folded_integral(nodes, weights, ones, base, times, k, POINTS)
             expected = (times - base) ** k / math.factorial(k)
             assert folded[:, 0] == pytest.approx(expected, abs=1e-14)
 
@@ -380,7 +425,7 @@ class TestFoldedIntegral:
         nodes, weights = gauss_nodes(
             problem, traj_el_only, (problem.t1, problem.t2), QuadratureSpec(), times
         )
-        folded = _folded_integral(nodes, weights, nodes, bases, times, 1)
+        folded = _folded_integral(nodes, weights, nodes, bases, times, 1, POINTS)
         # integral of s from base to t
         assert folded == pytest.approx((times**2 - bases**2) / 2, abs=1e-14)
 
