@@ -6,6 +6,7 @@ import pytest
 
 from delay_noether import (
     DomainError,
+    Problem,
     bundled_problem_path,
     check_conservation,
     check_el_differential,
@@ -13,7 +14,7 @@ from delay_noether import (
     el_first_integral,
     load_document,
 )
-from delay_noether import Problem, cli, conditions, functional, noether
+from delay_noether import cli, conditions, functional, noether
 from delay_noether.cli import main
 
 BUNDLE = str(bundled_problem_path())

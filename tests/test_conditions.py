@@ -394,17 +394,6 @@ class TestFoldedIntegral:
             assert folded.shape == expected.shape
             assert np.max(np.abs(folded - expected)) <= bound
 
-    def test_a_one_dimensional_table_gives_one_value_per_time(self):
-        rng = np.random.default_rng(7)
-        nodes, weights, ends = random_rule(rng, 3)
-        table, times = rng.normal(size=nodes.size), ends[::5]
-        expected = helpers.reference_folded_integral(
-            nodes, weights, table, ends[0], times, 1
-        )
-        folded = _folded_integral(nodes, weights, table, ends[0], times, 1, 3)
-        assert folded.shape == times.shape
-        assert folded == pytest.approx(expected, abs=1e-12)
-
     def test_folds_of_one_are_oriented_powers(self, problem, traj_el_only):
         # k-fold integral of 1 from base to t is (t - base)^k / k!, on both
         # sides of base; the sign for odd k pins the orientation.
