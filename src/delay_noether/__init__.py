@@ -45,7 +45,7 @@ from .conditions import (
     FirstIntegralReport,
     RegionFit,
     ResidualReport,
-    SampleGrid,
+    Samples,
     SegmentFit,
     block_term,
     check_el_differential,

@@ -27,18 +27,14 @@ import numpy as np
 from .conditions import (
     FirstIntegralReport,
     ResidualReport,
-    SampleGrid,
     Samples,
-    _dbr_check,
-    _el_check,
-    _el_integral_check,
     check_el_differential,
     dbr_first_integral,
     el_first_integral,
 )
 from .document import DocumentError, ProblemDocument, load_document
 from .functional import action
-from .noether import _conservation_check, check_conservation, check_invariance
+from .noether import check_conservation, check_invariance
 from .solver import DEFAULT_GRAD_TOL, GridSpec, NewtonStep, minimize
 from .trajectory import PiecewiseTrajectory
 
@@ -143,10 +139,6 @@ def _print_first_integral(report: FirstIntegralReport) -> None:
         print(f"junction gap: {report.junction_gap:.3e} (not part of verdict)")
 
 
-def _load(args) -> ProblemDocument:
-    return load_document(args.file)
-
-
 def _pick_trajectory(args, doc: ProblemDocument) -> PiecewiseTrajectory:
     if getattr(args, "from_solver", False):
         if args.trajectory is not None:
@@ -163,7 +155,7 @@ def _pick_trajectory(args, doc: ProblemDocument) -> PiecewiseTrajectory:
 
 
 def cmd_action(args) -> int:
-    doc = _load(args)
+    doc = load_document(args.file)
     traj = doc.trajectory(args.trajectory)
     result = action(doc.problem, traj, doc.quadrature)
     if args.json:
@@ -176,24 +168,23 @@ def cmd_action(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = _load(args)
+    doc = load_document(args.file)
     traj = _pick_trajectory(args, doc)
-    grid = SampleGrid(points=args.grid)
+    samples = Samples(doc.problem, traj, args.grid, doc.quadrature)
     tol = doc.first_integral_tol()
-    problem = doc.problem
     if args.which in ("invariance", "noether") and doc.symmetry is None:
         raise DocumentError("document has no symmetry block")
 
     if args.which == "el":
-        report = check_el_differential(problem, traj, grid, tol)
+        report = check_el_differential(samples, tol)
     elif args.which == "el-integral":
-        report = el_first_integral(problem, traj, args.mode, grid, doc.quadrature, tol)
+        report = el_first_integral(samples, args.mode, tol)
     elif args.which == "dbr":
-        report = dbr_first_integral(problem, traj, grid, doc.quadrature, tol)
+        report = dbr_first_integral(samples, tol)
     elif args.which == "invariance":
-        report = check_invariance(problem, traj, doc.symmetry, grid, tol)
+        report = check_invariance(samples, doc.symmetry, tol)
     else:  # noether
-        report = check_conservation(problem, traj, doc.symmetry, grid, tol)
+        report = check_conservation(samples, doc.symmetry, tol)
     pointwise = isinstance(report, ResidualReport)
 
     if args.csv:
@@ -213,7 +204,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    doc = _load(args)
+    doc = load_document(args.file)
     problem = doc.problem
     grid = GridSpec.from_step(problem, args.h)
     grad_tol = doc.tolerances.gradient or DEFAULT_GRAD_TOL
@@ -255,20 +246,18 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = _load(args)
+    doc = load_document(args.file)
     if doc.symmetry is None:
         raise DocumentError("document has no symmetry block; report needs one")
     traj = doc.trajectory(args.trajectory)
-    grid = SampleGrid(points=args.grid)
+    # One record shared by every check.
+    samples = Samples(doc.problem, traj, args.grid, doc.quadrature)
     tol = doc.first_integral_tol()
-    problem = doc.problem
-
-    samples = Samples(problem, traj, grid, doc.quadrature)  # shared by every check
-    el = _el_check(samples, tol)
-    el_integral = _el_integral_check(samples, "regional", tol)
-    dbr = _dbr_check(samples, tol)
-    conservation = _conservation_check(samples, doc.symmetry, tol)
-    the_action = action(problem, traj, doc.quadrature)
+    el = check_el_differential(samples, tol)
+    el_integral = el_first_integral(samples, "regional", tol)
+    dbr = dbr_first_integral(samples, tol)
+    conservation = check_conservation(samples, doc.symmetry, tol)
+    the_action = action(doc.problem, traj, doc.quadrature)
 
     def yesno(flag: bool) -> str:
         return "yes" if flag else "no"

@@ -10,12 +10,15 @@ they do not).  This module evaluates, along a candidate trajectory:
   across the junction),
 * the DuBois-Reymond first integral, constant per region.
 
-Every sampled check reads its inputs from one ``Samples`` record: the
-times and effective segments of ``sample_times``, their regions
-(``region_of``), the Gauss table (``functional.gauss_nodes``) whose panels
-end at the effective breakpoints and at the samples, and the arguments at
-both.  ``report`` shares one record among its checks.  Nested integrals are
-running sums over the panels of moments about a fixed centre.
+Every sampled check (here ``check_el_differential``, ``el_first_integral``
+and ``dbr_first_integral``; ``noether.check_invariance`` and
+``check_conservation``) is one function that takes a ``Samples`` record,
+``Samples(problem, traj, points=200, quad=None)``: the times and effective
+segments of ``sample_times`` for a budget of ``points`` samples, their
+regions (``region_of``), the Gauss table (``functional.gauss_nodes``) whose
+panels end at the effective breakpoints and at the samples, and the
+arguments at both.  ``report`` shares one record among its checks.  Nested
+integrals are running sums over the panels of moments about a fixed centre.
 
 Time derivatives are exact: trajectories are piecewise polynomials and L
 is symbolic, so the total derivatives inside psi^j are expressions
@@ -179,43 +182,29 @@ def el_residual_differential(
 _MARGIN = 0.05
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Sampling plan: a budget of ``points`` samples apportioned over the
-    effective segments of the window by length, with at least one sample in
-    every segment (so a window with more segments than ``points`` yields
-    more samples)."""
-
-    points: int = 200
-
-    def __post_init__(self):
-        if self.points < 1:
-            raise ValueError("points must be >= 1")
-
-
 def sample_times(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    window: tuple[float, float] | None = None,
-    grid: SampleGrid | None = None,
+    problem: Problem, traj: PiecewiseTrajectory, points: int = 200
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample times, shape (n,), and the effective segment (a, b) of each,
-    shape (n, 2), with every time ``_MARGIN`` of its segment away from
-    the segment's ends."""
+    shape (n, 2).  A budget of ``points`` samples is apportioned over the
+    effective segments of [t1, t2] by length, with at least one in every
+    segment (so more segments than ``points`` give more samples), and
+    every time ``_MARGIN`` of its segment away from the segment's ends."""
+    if points < 1:
+        raise ValueError("points must be >= 1")
     problem.check_trajectory(traj)
-    grid = grid or SampleGrid()
-    lo, hi = window if window is not None else (problem.t1, problem.t2)
+    lo, hi = problem.t1, problem.t2
     cuts = effective_breakpoints(traj, problem.tau, (lo, hi))
     spans = subsegments(cuts, lo, hi, traj.snap)
     total = sum(b - a for a, b in spans)
 
     # Largest-remainder apportionment of the sample budget.
-    raw = [grid.points * (b - a) / total for a, b in spans]
+    raw = [points * (b - a) / total for a, b in spans]
     counts = [max(1, int(r)) for r in raw]
     leftovers = sorted(
         range(len(spans)), key=lambda i: raw[i] - int(raw[i]), reverse=True
     )
-    shortfall = grid.points - sum(counts)
+    shortfall = points - sum(counts)
     for i in range(max(0, shortfall)):
         counts[leftovers[i % len(spans)]] += 1
 
@@ -232,9 +221,9 @@ class Samples:
     segment, the Gauss table cut at the samples, and the arguments at the
     samples (depth 2m, enough for every check) and at the nodes (depth m)."""
 
-    def __init__(self, problem, traj, grid=None, quad=None):
+    def __init__(self, problem, traj, points=200, quad=None):
         self.problem, self.traj, self.quad = problem, traj, quad or QuadratureSpec()
-        self.times, self.intervals = sample_times(problem, traj, None, grid)
+        self.times, self.intervals = sample_times(problem, traj, points)
         self.regions = region_of(problem, self.times)
 
     @cached_property
@@ -418,7 +407,18 @@ def _folded_integral(
     return (sign[:, None] * out).reshape(times.shape + table.shape[1:])
 
 
-def _el_integral_check(samples: Samples, mode: str, tol) -> FirstIntegralReport:
+def el_first_integral(
+    samples: Samples, mode: str = "regional", tol: float | None = None
+) -> FirstIntegralReport:
+    """Euler-Lagrange condition in integral form.
+
+    The quantity sum_i (-1)^(m-i-1) [(m-i)-fold nested integral from the
+    junction of the block term of index i] must equal a polynomial of
+    degree m - 1: one polynomial per region in ``regional`` mode, a single
+    polynomial across [t1, t2] in ``global`` mode.
+    """
+    if mode not in ("regional", "global"):
+        raise ValueError(f"mode must be 'regional' or 'global', got {mode!r}")
     problem, m = samples.problem, samples.problem.order
     node_terms = samples.at_nodes.block_terms(range(m))
     values = np.zeros((samples.times.size, problem.dim))
@@ -432,27 +432,11 @@ def _el_integral_check(samples: Samples, mode: str, tol) -> FirstIntegralReport:
     return _analyze_samples("el-integral", mode, samples, values, m - 1, tol)
 
 
-def el_first_integral(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    mode: str = "regional",
-    grid: SampleGrid | None = None,
-    quad: QuadratureSpec | None = None,
-    tol: float | None = None,
+def dbr_first_integral(
+    samples: Samples, tol: float | None = None
 ) -> FirstIntegralReport:
-    """Euler-Lagrange condition in integral form.
-
-    The quantity sum_i (-1)^(m-i-1) [(m-i)-fold nested integral from the
-    junction of the block term of index i] must equal a polynomial of
-    degree m - 1: one polynomial per region in ``regional`` mode, a single
-    polynomial across [t1, t2] in ``global`` mode.
-    """
-    if mode not in ("regional", "global"):
-        raise ValueError(f"mode must be 'regional' or 'global', got {mode!r}")
-    return _el_integral_check(Samples(problem, traj, grid, quad), mode, tol)
-
-
-def _dbr_check(samples: Samples, tol) -> FirstIntegralReport:
+    """DuBois-Reymond first integral, constant on each region:
+    L - sum_j psi^j . q^(j) - int d/dt-partial of L from the region start."""
     problem, args = samples.problem, samples.at_samples
     rates = samples.at_nodes.value(problem.compiled_partial_t)
     starts = np.where(args.regions == 1, problem.t1, problem.junction)
@@ -462,18 +446,6 @@ def _dbr_check(samples: Samples, tol) -> FirstIntegralReport:
         values = values - _dot(args.psi(j), args.derivative(j))
     values = values - explicit
     return _analyze_samples("dbr", "regional", samples, values, 0, tol)
-
-
-def dbr_first_integral(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    grid: SampleGrid | None = None,
-    quad: QuadratureSpec | None = None,
-    tol: float | None = None,
-) -> FirstIntegralReport:
-    """DuBois-Reymond first integral, constant on each region:
-    L - sum_j psi^j . q^(j) - int d/dt-partial of L from the region start."""
-    return _dbr_check(Samples(problem, traj, grid, quad), tol)
 
 
 @dataclass(frozen=True)
@@ -497,15 +469,7 @@ def _residual_report(
     return ResidualReport(quantity, times, values, tol, max_abs, max_abs <= tol)
 
 
-def _el_check(samples: Samples, tol) -> ResidualReport:
+def check_el_differential(samples: Samples, tol: float | None = None) -> ResidualReport:
+    """The pointwise Euler-Lagrange residual psi^0 at the samples."""
     values = samples.at_samples.psi(0)
     return _residual_report("el-differential", samples.times, values, tol)
-
-
-def check_el_differential(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    grid: SampleGrid | None = None,
-    tol: float | None = None,
-) -> ResidualReport:
-    return _el_check(Samples(problem, traj, grid), tol)

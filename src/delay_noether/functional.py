@@ -336,7 +336,6 @@ def action(
     problem: Problem,
     traj: PiecewiseTrajectory,
     quad: QuadratureSpec | None = None,
-    window: tuple[float, float] | None = None,
 ) -> ActionResult:
     """Action integral of the Lagrangian along ``traj``.
 
@@ -368,5 +367,5 @@ def action(
             what = f"derivative {i}" if i else "position"
             warnings.append(f"terminal {what} misses target by {gap:.3e}")
 
-    value = integrate(problem, traj, problem.compiled_lagrangian, window, quad)
+    value = integrate(problem, traj, problem.compiled_lagrangian, quad=quad)
     return ActionResult(value, tuple(warnings))

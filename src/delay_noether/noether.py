@@ -24,7 +24,6 @@ from . import expr as ex
 from .conditions import (
     FirstIntegralReport,
     ResidualReport,
-    SampleGrid,
     Samples,
     _analyze_samples,
     _Arguments,
@@ -217,20 +216,18 @@ def noether_charge(
 
 
 def check_invariance(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    sym: SymmetryCandidate,
-    grid: SampleGrid | None = None,
-    tol: float | None = None,
+    samples: Samples, sym: SymmetryCandidate, tol: float | None = None
 ) -> ResidualReport:
-    samples = Samples(problem, traj, grid)
-    sym.check_against(problem)
-    values = _invariance(problem, sym, samples.at_samples)
+    """The invariance defect at the samples, against the absolute ``tol``."""
+    sym.check_against(samples.problem)
+    values = _invariance(samples.problem, sym, samples.at_samples)
     return _residual_report("invariance", samples.times, values, tol)
 
 
-def _conservation_check(samples: Samples, sym, tol) -> FirstIntegralReport:
-    """The sampled charge's per-region constancy, plus the junction gap."""
+def check_conservation(
+    samples: Samples, sym: SymmetryCandidate, tol: float | None = None
+) -> FirstIntegralReport:
+    """Sample the Noether charge, decide per-region constancy, add the gap."""
     problem, traj = samples.problem, samples.traj
     sym.check_against(problem)
     values = _charge(problem, sym, samples.at_samples)
@@ -238,14 +235,3 @@ def _conservation_check(samples: Samples, sym, tol) -> FirstIntegralReport:
     left = noether_charge(problem, traj, sym, problem.junction, "left")
     right = noether_charge(problem, traj, sym, problem.junction, "right")
     return replace(report, junction_gap=abs(left - right))
-
-
-def check_conservation(
-    problem: Problem,
-    traj: PiecewiseTrajectory,
-    sym: SymmetryCandidate,
-    grid: SampleGrid | None = None,
-    tol: float | None = None,
-) -> FirstIntegralReport:
-    """Sample the Noether charge, decide per-region constancy, add the gap."""
-    return _conservation_check(Samples(problem, traj, grid), sym, tol)

@@ -312,7 +312,7 @@ def minimize(
         message = "converged" if converged else "iteration limit reached"
     return SolveResult(
         nodes,
-        _reconstruct(problem, grid, nodes),
+        PiecewiseTrajectory.from_nodes(grid.node_times(problem), nodes, order=1),
         phi,
         sup_norm(g),
         len(history),
@@ -320,12 +320,6 @@ def minimize(
         message,
         history,
     )
-
-
-def _reconstruct(
-    problem: Problem, grid: GridSpec, nodes: np.ndarray
-) -> PiecewiseTrajectory:
-    return PiecewiseTrajectory.from_nodes(grid.node_times(problem), nodes, order=1)
 
 
 def discrete_first_variation(

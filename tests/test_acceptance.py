@@ -9,7 +9,7 @@ from delay_noether import (
     GridSpec,
     PiecewiseTrajectory,
     Problem,
-    SampleGrid,
+    Samples,
     SymmetryCandidate,
     action,
     block_term,
@@ -46,22 +46,22 @@ def segment_constants(report):
     "DuBois-Reymond and charge conservation fail with constants -4 / 0",
 )
 def test_criterion_1_kinked_extremal(problem, traj_el_only, symmetry):
-    el = check_el_differential(problem, traj_el_only)
+    el = check_el_differential(Samples(problem, traj_el_only))
     assert el.verdict and el.max_abs <= 1e-7
 
-    integral = el_first_integral(problem, traj_el_only, "regional")
+    integral = el_first_integral(Samples(problem, traj_el_only), "regional")
     assert integral.verdict
     constants = region_constants(integral)
     assert constants[1] == pytest.approx([-4.0], abs=1e-9)
     assert constants[2] == pytest.approx([0.0], abs=1e-9)
 
-    dbr = dbr_first_integral(problem, traj_el_only)
+    dbr = dbr_first_integral(Samples(problem, traj_el_only))
     assert not dbr.verdict
     segments = segment_constants(dbr)
     assert segments[(0.0, 1.0)] == pytest.approx([-4.0], abs=1e-9)
     assert segments[(1.0, 2.0)] == pytest.approx([0.0], abs=1e-9)
 
-    conservation = check_conservation(problem, traj_el_only, symmetry)
+    conservation = check_conservation(Samples(problem, traj_el_only), symmetry)
     assert not conservation.verdict
     segments = segment_constants(conservation)
     assert segments[(0.0, 1.0)] == pytest.approx([-4.0], abs=1e-9)
@@ -74,15 +74,15 @@ def test_criterion_1_kinked_extremal(problem, traj_el_only, symmetry):
     "charge is conserved (constant 0, junction gap below 1e-9)",
 )
 def test_criterion_2_fully_extremal_candidate(problem, traj_el_dbr, symmetry):
-    el = check_el_differential(problem, traj_el_dbr)
+    el = check_el_differential(Samples(problem, traj_el_dbr))
     assert el.verdict and el.max_abs <= 1e-7
 
-    dbr = dbr_first_integral(problem, traj_el_dbr)
+    dbr = dbr_first_integral(Samples(problem, traj_el_dbr))
     assert dbr.verdict
     for constant in region_constants(dbr).values():
         assert constant == pytest.approx([0.0], abs=1e-9)
 
-    conservation = check_conservation(problem, traj_el_dbr, symmetry)
+    conservation = check_conservation(Samples(problem, traj_el_dbr), symmetry)
     assert conservation.verdict
     for constant in region_constants(conservation).values():
         assert constant == pytest.approx([0.0], abs=1e-9)
@@ -144,7 +144,7 @@ def test_criterion_5_momenta(problem, symmetry):
         for _ in range(2):
             coeffs = [[list(rng.uniform(-1.0, 1.0, 6) / powers)]]
             traj = PiecewiseTrajectory([-1.0, 3.0], coeffs, order=order)
-            for t in sample_times(prob, traj, grid=SampleGrid(points=4))[0]:
+            for t in sample_times(prob, traj, points=4)[0]:
                 for j in range(1, order + 1):
                     residual = helpers.psi_identity_residual(prob, traj, j, t)
                     scale = max(
@@ -175,7 +175,7 @@ def test_criterion_5_momenta(problem, symmetry):
     rng = np.random.default_rng(7)
     for _ in range(5):
         traj = helpers.random_lipschitz_trajectory(rng, -1.0, 3.0)
-        report = dbr_first_integral(problem, traj, grid=SampleGrid(points=40))
+        report = dbr_first_integral(Samples(problem, traj, points=40))
         for t, value in zip(report.times, report.values[:, 0]):
             direct = direct_first_integral(problem, traj, float(t))
             assert abs(value - direct) <= 1e-9
@@ -185,12 +185,12 @@ def test_criterion_5_momenta(problem, symmetry):
     # (c) order 2: along q = t^3 under L = q''^2/2 the first integral and
     # the time-shift charge vanish identically.
     prob2, traj2 = helpers.cubic_order2()
-    report = dbr_first_integral(prob2, traj2, grid=SampleGrid(points=40))
+    report = dbr_first_integral(Samples(prob2, traj2, points=40))
     assert report.verdict
     for constant in region_constants(report).values():
         assert constant == pytest.approx([0.0], abs=1e-12)
     sym2 = SymmetryCandidate.from_sources(1, 2, "1", ["0"])
-    conservation = check_conservation(prob2, traj2, sym2, grid=SampleGrid(points=40))
+    conservation = check_conservation(Samples(prob2, traj2, points=40), sym2)
     assert conservation.verdict
     for constant in region_constants(conservation).values():
         assert constant == pytest.approx([0.0], abs=1e-12)
@@ -234,16 +234,16 @@ def test_criterion_6_solver(problem, traj_el_only, traj_el_dbr):
 )
 def test_criterion_7_oscillator():
     prob, traj = helpers.oscillator()
-    el = check_el_differential(prob, traj)
+    el = check_el_differential(Samples(prob, traj))
     assert el.verdict and el.max_abs <= 1e-6
 
-    dbr = dbr_first_integral(prob, traj)
+    dbr = dbr_first_integral(Samples(prob, traj))
     assert dbr.verdict
     for constant in region_constants(dbr).values():
         assert constant == pytest.approx([-1.0], abs=1e-6)
 
     sym = SymmetryCandidate.from_sources(1, 1, "1", ["0"])
-    conservation = check_conservation(prob, traj, sym)
+    conservation = check_conservation(Samples(prob, traj), sym)
     assert conservation.verdict
     for constant in region_constants(conservation).values():
         assert constant == pytest.approx([-1.0], abs=1e-6)

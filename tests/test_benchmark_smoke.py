@@ -5,6 +5,7 @@ order-2 and order-3 folded integrals and the 15-segment report through the
 benchmark's closed-form oracles."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +41,19 @@ def test_higher_order_check_workload_runs_and_is_correct():
 
 def test_fine_report_workload_runs_and_is_correct():
     run_workload("report-fine")
+
+
+def test_tracer_resolves_every_target():
+    # A traced run wraps every name listed in tracing.TARGETS; installing
+    # the tracer raises on the first one the package no longer has.  It
+    # patches module globals, so it runs in its own interpreter.
+    code = (
+        "import sys; sys.path.insert(0, 'benchmarks'); "
+        "import tracing; tracing.Tracer().install()"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr

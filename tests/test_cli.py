@@ -7,6 +7,7 @@ import pytest
 from delay_noether import (
     DomainError,
     Problem,
+    Samples,
     bundled_problem_path,
     check_conservation,
     check_el_differential,
@@ -325,6 +326,13 @@ class TestErrors:
         assert code == 2
         assert "no symmetry block" in err
 
+    @pytest.mark.parametrize("argv", [["check", "el"], ["check", "noether"], ["report"]])
+    def test_an_empty_sample_budget_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv, BUNDLE, "--grid", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: points must be >= 1\n"
+
     def test_schema_errors_exit_2(self, capsys, tmp_path):
         doc = json.loads(bundled_problem_path().read_text(encoding="utf-8"))
         doc["surprise"] = 1
@@ -409,10 +417,10 @@ class TestDomainErrors:
         doc = load_document(path)
         problem, traj = doc.problem, doc.trajectory("negative")
         checks = [
-            lambda: check_el_differential(problem, traj),
-            lambda: el_first_integral(problem, traj),
-            lambda: dbr_first_integral(problem, traj),
-            lambda: check_conservation(problem, traj, doc.symmetry),
+            lambda: check_el_differential(Samples(problem, traj)),
+            lambda: el_first_integral(Samples(problem, traj)),
+            lambda: dbr_first_integral(Samples(problem, traj)),
+            lambda: check_conservation(Samples(problem, traj), doc.symmetry),
         ]
         for check in checks:
             with pytest.raises(DomainError) as info:

@@ -11,7 +11,7 @@ from delay_noether import (
     Problem,
     QuadratureSpec,
     ResidualReport,
-    SampleGrid,
+    Samples,
     block_term,
     check_el_differential,
     dbr_first_integral,
@@ -212,7 +212,7 @@ class TestPsi:
 
 class TestSampleGrid:
     def test_budget_is_respected(self, problem, traj_el_only):
-        times, intervals = sample_times(problem, traj_el_only, grid=SampleGrid(points=7))
+        times, intervals = sample_times(problem, traj_el_only, points=7)
         assert times.shape == (7,) and intervals.shape == (7, 2)
         times, intervals = sample_times(problem, traj_el_only)
         assert times.shape == (200,) and intervals.shape == (200, 2)
@@ -223,22 +223,17 @@ class TestSampleGrid:
             assert min(abs(t - c) for c in cuts) >= 0.05 - 1e-12
             assert a + 0.05 - 1e-12 <= t <= b - 0.05 + 1e-12
 
-    def test_window_restricts_sampling(self, problem, traj_el_only):
-        times, intervals = sample_times(problem, traj_el_only, window=(0.0, 1.0))
-        assert len(times) == 200
-        assert all(tuple(interval) == (0.0, 1.0) for interval in intervals)
-
     def test_sliver_segments_get_interior_samples(self):
         prob, traj = helpers.oscillator()
-        times, intervals = sample_times(prob, traj, grid=SampleGrid(points=40))
+        times, intervals = sample_times(prob, traj, points=40)
         widths = {round(b - a, 9) for a, b in intervals}
         assert min(widths) <= 2e-3  # slivers created by the tiny delay
         for t, (a, b) in zip(times, intervals):
             assert a < t < b
 
-    def test_grid_validation(self):
+    def test_grid_validation(self, problem, traj_el_only):
         with pytest.raises(ValueError, match="points"):
-            SampleGrid(points=0)
+            sample_times(problem, traj_el_only, points=0)
 
     @pytest.mark.parametrize("case", ["bundle", "oscillator", "random"])
     def test_regions_of_samples_split_at_the_junction(self, case, problem, traj_el_only):
@@ -264,7 +259,7 @@ class TestSampleGrid:
 
 class TestElDifferentialCheck:
     def test_extremal_passes(self, problem, traj_el_only):
-        report = check_el_differential(problem, traj_el_only)
+        report = check_el_differential(Samples(problem, traj_el_only))
         assert isinstance(report, ResidualReport)
         assert report.quantity == "el-differential"
         assert report.verdict
@@ -272,7 +267,7 @@ class TestElDifferentialCheck:
         assert report.times.size == 200
 
     def test_non_extremal_fails(self, traj_el_only):
-        report = check_el_differential(modified_problem(), traj_el_only)
+        report = check_el_differential(Samples(modified_problem(), traj_el_only))
         assert not report.verdict
         assert report.max_abs > 0.1
 
@@ -280,14 +275,14 @@ class TestElDifferentialCheck:
         # Finite-difference noise once pushed the cubic past 1e-7.
         for build in (helpers.cubic_order2, helpers.quintic_order3):
             prob, traj = build()
-            report = check_el_differential(prob, traj)
+            report = check_el_differential(Samples(prob, traj))
             assert report.verdict
             assert report.max_abs <= 1e-12
 
 
 class TestElIntegralCheck:
     def test_regional_golden_constants(self, problem, traj_el_only):
-        report = el_first_integral(problem, traj_el_only)
+        report = el_first_integral(Samples(problem, traj_el_only))
         assert isinstance(report, FirstIntegralReport)
         assert report.quantity == "el-integral"
         assert report.mode == "regional"
@@ -298,21 +293,21 @@ class TestElIntegralCheck:
         assert report.max_dev <= 1e-9
 
     def test_global_fit_fails_across_the_junction(self, problem, traj_el_only):
-        report = el_first_integral(problem, traj_el_only, mode="global")
+        report = el_first_integral(Samples(problem, traj_el_only), mode="global")
         assert not report.verdict
         assert report.regions[0].region is None
         assert report.max_dev > 1.0
 
     def test_fully_extremal_variant_passes_globally(self, problem, traj_el_dbr):
         for mode in ("regional", "global"):
-            report = el_first_integral(problem, traj_el_dbr, mode=mode)
+            report = el_first_integral(Samples(problem, traj_el_dbr), mode=mode)
             assert report.verdict
             for fit in report.regions:
                 assert fit.constant == pytest.approx([0.0], abs=1e-9)
 
     def test_order_two_fit_is_linear(self):
         prob, traj = helpers.cubic_order2()
-        report = el_first_integral(prob, traj, grid=SampleGrid(points=60))
+        report = el_first_integral(Samples(prob, traj, points=60))
         assert report.verdict
         for fit in report.regions:
             assert fit.constant is None  # degree-1 model, not a constant
@@ -321,7 +316,7 @@ class TestElIntegralCheck:
     def test_order_three_fit_is_quadratic(self):
         # Order 3 folds block terms up to three times from the junction.
         prob, traj = helpers.quintic_order3()
-        report = el_first_integral(prob, traj)
+        report = el_first_integral(Samples(prob, traj))
         assert report.verdict
         assert [fit.region for fit in report.regions] == [1, 2]
         for fit in report.regions:
@@ -329,7 +324,7 @@ class TestElIntegralCheck:
 
     def test_mode_validation(self, problem, traj_el_only):
         with pytest.raises(ValueError, match="mode"):
-            el_first_integral(problem, traj_el_only, mode="piecewise")
+            el_first_integral(Samples(problem, traj_el_only), mode="piecewise")
 
     @pytest.mark.parametrize("fixture", ["cubic_order2", "quintic_order3"])
     def test_arguments_are_assembled_once_per_point(self, fixture, monkeypatch):
@@ -350,7 +345,7 @@ class TestElIntegralCheck:
 
         monkeypatch.setattr(Problem, "bindings", counted)
         monkeypatch.setattr(Problem, "args", per_point)
-        el_first_integral(prob, traj)
+        el_first_integral(Samples(prob, traj))
         times, _ = sample_times(prob, traj)
         nodes, _ = gauss_nodes(prob, traj, (prob.t1, prob.t2), None, times)
         points = np.concatenate([nodes, times])
@@ -394,6 +389,17 @@ class TestFoldedIntegral:
             assert folded.shape == expected.shape
             assert np.max(np.abs(folded - expected)) <= bound
 
+    def test_a_one_dimensional_table_gives_one_value_per_time(self):
+        rng = np.random.default_rng(7)
+        nodes, weights, ends = random_rule(rng, 3)
+        table, times = rng.normal(size=nodes.size), ends[::5]
+        expected = helpers.reference_folded_integral(
+            nodes, weights, table, ends[0], times, 1
+        )
+        folded = _folded_integral(nodes, weights, table, ends[0], times, 1, 3)
+        assert folded.shape == times.shape
+        assert folded == pytest.approx(expected, abs=1e-12)
+
     def test_folds_of_one_are_oriented_powers(self, problem, traj_el_only):
         # k-fold integral of 1 from base to t is (t - base)^k / k!, on both
         # sides of base; the sign for odd k pins the orientation.
@@ -434,7 +440,7 @@ class TestFoldedIntegral:
             counts = []
             for points in (20, 200):
                 calls.clear()
-                check(problem, traj_el_only, grid=SampleGrid(points=points))
+                check(Samples(problem, traj_el_only, points=points))
                 counts.append(len(calls))
             assert counts[0] == counts[1], check.__name__
 
@@ -443,7 +449,7 @@ class TestDbrCheck:
     def test_kinked_extremal_fails_with_the_documented_constants(
         self, problem, traj_el_only
     ):
-        report = dbr_first_integral(problem, traj_el_only)
+        report = dbr_first_integral(Samples(problem, traj_el_only))
         assert report.quantity == "dbr"
         assert not report.verdict
         constants = {seg.interval: seg.constant for seg in report.segments}
@@ -456,7 +462,7 @@ class TestDbrCheck:
         assert (2.0, 3.0) not in report.failing_segments
 
     def test_fully_extremal_variant_passes(self, problem, traj_el_dbr):
-        report = dbr_first_integral(problem, traj_el_dbr)
+        report = dbr_first_integral(Samples(problem, traj_el_dbr))
         assert report.verdict
         for fit in report.regions:
             assert fit.constant == pytest.approx([0.0], abs=1e-9)
@@ -464,16 +470,16 @@ class TestDbrCheck:
 
     def test_quintic_extremal_passes_at_the_defaults(self):
         prob, traj = helpers.quintic_order3()
-        report = dbr_first_integral(prob, traj)
+        report = dbr_first_integral(Samples(prob, traj))
         assert report.verdict
         for fit in report.regions:
             assert fit.constant == pytest.approx([0.0], abs=1e-9)
 
     def test_loose_tolerance_turns_the_verdict(self, problem, traj_el_only):
-        report = dbr_first_integral(problem, traj_el_only, tol=10.0)
+        report = dbr_first_integral(Samples(problem, traj_el_only), tol=10.0)
         assert report.verdict
 
     def test_segment_means_are_per_segment_diagnostics(self, problem, traj_el_only):
-        report = dbr_first_integral(problem, traj_el_only, grid=SampleGrid(points=30))
+        report = dbr_first_integral(Samples(problem, traj_el_only, points=30))
         for seg in report.segments:
             assert seg.max_dev <= 1e-9  # constant within each segment

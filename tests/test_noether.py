@@ -5,7 +5,7 @@ import helpers
 from delay_noether import (
     PiecewiseTrajectory,
     Problem,
-    SampleGrid,
+    Samples,
     SymmetryCandidate,
     SymmetryError,
     VocabularyError,
@@ -116,7 +116,7 @@ class TestInvariance:
 
         for _ in range(5):
             traj = helpers.random_lipschitz_trajectory(rng, -1.0, 3.0)
-            for t in sample_times(problem, traj, grid=SampleGrid(points=30))[0]:
+            for t in sample_times(problem, traj, points=30)[0]:
                 assert abs(invariance_residual(problem, traj, symmetry, t)) <= 1e-8
 
     def test_non_invariant_candidate_is_detected(self, problem, traj_el_only):
@@ -129,7 +129,7 @@ class TestInvariance:
         assert invariance_residual(problem, traj_el_only, sym, 1.5) == (
             pytest.approx(0.0, abs=1e-8)
         )
-        report = check_invariance(problem, traj_el_only, sym)
+        report = check_invariance(Samples(problem, traj_el_only), sym)
         assert report.quantity == "invariance"
         assert not report.verdict
         assert report.max_abs == pytest.approx(4.0, abs=1e-7)
@@ -161,7 +161,7 @@ class TestInvariance:
     def test_check_invariance_passes_for_the_bundled_symmetry(
         self, problem, symmetry, traj_el_only
     ):
-        report = check_invariance(problem, traj_el_only, symmetry)
+        report = check_invariance(Samples(problem, traj_el_only), symmetry)
         assert report.verdict
         assert report.max_abs <= 1e-12
 
@@ -184,7 +184,7 @@ class TestNoetherCharge:
     def test_conservation_fails_on_the_kinked_extremal(
         self, problem, symmetry, traj_el_only
     ):
-        report = check_conservation(problem, traj_el_only, symmetry)
+        report = check_conservation(Samples(problem, traj_el_only), symmetry)
         assert not report.verdict
         assert report.quantity == "noether"
         constants = {seg.interval: seg.constant for seg in report.segments}
@@ -198,7 +198,7 @@ class TestNoetherCharge:
     def test_conservation_holds_on_the_fully_extremal_variant(
         self, problem, symmetry, traj_el_dbr
     ):
-        report = check_conservation(problem, traj_el_dbr, symmetry)
+        report = check_conservation(Samples(problem, traj_el_dbr), symmetry)
         assert report.verdict
         for fit in report.regions:
             assert fit.constant == pytest.approx([0.0], abs=1e-9)
@@ -208,7 +208,7 @@ class TestNoetherCharge:
         # A pure state shift conserves psi^1 on each region separately, but
         # psi^1 jumps from 4 to 0 across the junction.
         shift = SymmetryCandidate.from_sources(1, 1, "0", ["1"])
-        report = check_conservation(problem, traj_el_only, shift)
+        report = check_conservation(Samples(problem, traj_el_only), shift)
         assert report.verdict
         by_region = {fit.region: fit for fit in report.regions}
         assert by_region[1].constant == pytest.approx([4.0], abs=1e-9)
@@ -220,7 +220,7 @@ class TestNoetherCharge:
         # order-3 extremal.
         prob, traj = helpers.quintic_order3()
         sym = SymmetryCandidate.from_sources(1, 3, "1", ["0"])
-        report = check_conservation(prob, traj, sym)
+        report = check_conservation(Samples(prob, traj), sym)
         assert report.verdict
         for fit in report.regions:
             assert fit.constant == pytest.approx([0.0], abs=1e-9)
@@ -229,7 +229,7 @@ class TestNoetherCharge:
     def test_oscillator_energy(self):
         prob, traj = helpers.oscillator()
         sym = SymmetryCandidate.from_sources(1, 1, "1", ["0"])
-        report = check_conservation(prob, traj, sym, grid=SampleGrid(points=40))
+        report = check_conservation(Samples(prob, traj, points=40), sym)
         assert report.verdict
         for fit in report.regions:
             assert fit.constant == pytest.approx([-1.0], abs=1e-6)
