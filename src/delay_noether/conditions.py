@@ -56,12 +56,14 @@ from .trajectory import (
 )
 
 
-def region_of(problem: Problem, t, side: str = "right"):
-    """1 on [t1, t2 - tau), 2 on (t2 - tau, t2]; the side picks the limit
-    taken exactly at the junction.  An array of regions for an array t."""
+def region_of(problem: Problem, t, side="right"):
+    """1 on [t1, t2 - tau), 2 on (t2 - tau, t2]; the side (one, or one per
+    time) picks the limit taken exactly at the junction.  An array of
+    regions for an array t."""
     snap = _SNAP_FRACTION * (problem.t2 - (problem.t1 - problem.tau))
     t, junction = np.asarray(t, dtype=float), problem.junction
-    first = t <= junction + snap if side == "left" else t < junction - snap
+    left = side == "left" if isinstance(side, str) else np.asarray(side) == "left"
+    first = np.where(left, t <= junction + snap, t < junction - snap)
     region = np.where(first, 1, 2)
     return region if region.ndim else int(region)
 
@@ -84,8 +86,8 @@ def effective_segment(
 class _Arguments:
     """The arguments at the times ``ts`` and, on the rows in region 1
     (``regions``, by default ``region_of`` each time), at ts + tau, with
-    derivatives up to ``depth``, all as ``side`` limits.  The methods
-    evaluate compiled expressions at all rows at once."""
+    derivatives up to ``depth``, as ``side`` limits (one, or one per row).
+    The methods evaluate compiled expressions at all rows at once."""
 
     def __init__(self, problem, traj, ts, depth, side="right", regions=None):
         ts = np.asarray(ts, dtype=float)
@@ -95,7 +97,8 @@ class _Arguments:
         self.regions = np.broadcast_to(regions, ts.shape)
         self.first = self.regions == 1
         self.here = problem.bindings(traj, ts, depth, side)
-        self.ahead = problem.bindings(traj, ts[self.first] + problem.tau, depth, side)
+        ahead = side if isinstance(side, str) else np.asarray(side)[self.first]
+        self.ahead = problem.bindings(traj, ts[self.first] + problem.tau, depth, ahead)
 
     def value(self, function) -> np.ndarray:
         return columns([function], self.here)[:, 0]

@@ -4,7 +4,9 @@ A document bundles one delayed variational problem with optional candidate
 trajectories (a default plus named variants), an optional symmetry
 candidate, quadrature settings and tolerance overrides.  Validation is
 strict: unknown keys anywhere are rejected, so typos fail loudly instead of
-silently changing meaning.
+silently changing meaning.  Every block is checked by ``_object`` (its
+keys), ``_list`` (each entry) and the scalar checks, which name the faulty
+value's path; ``_build`` prefixes a constructor's error with its block.
 
 The first-integral tolerance resolves in precedence order: document
 ``tolerances.first_integral``, then the ``DELAY_NOETHER_TOL`` environment
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -86,13 +89,19 @@ def resolve_first_integral_tol(document_value: float | None) -> float:
     return DEFAULT_FIRST_INTEGRAL_TOL
 
 
-def _require_keys(doc: Mapping, allowed: set[str], required: set[str], where: str):
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise DocumentError(f"{where}: unknown keys: {', '.join(unknown)}")
-    missing = sorted(required - set(doc))
+def _object(value: Any, where: str, allowed=None, required=(), kind="an object"):
+    """``value`` if it is an object whose keys are among ``allowed`` (any
+    keys when None) and include every ``required`` key."""
+    if not isinstance(value, Mapping):
+        raise DocumentError(f"{where}: expected {kind}")
+    if allowed is not None:
+        unknown = sorted(set(value) - set(allowed))
+        if unknown:
+            raise DocumentError(f"{where}: unknown keys: {', '.join(unknown)}")
+    missing = sorted(set(required) - set(value))
     if missing:
         raise DocumentError(f"{where}: missing keys: {', '.join(missing)}")
+    return value
 
 
 def _number(value: Any, where: str) -> float:
@@ -113,148 +122,102 @@ def _string(value: Any, where: str) -> str:
     return value
 
 
-def _string_list(value: Any, where: str) -> list[str]:
+def _list(value: Any, where: str, item) -> list:
+    """``item(entry, where[i])`` for each entry of the list ``value``."""
     if not isinstance(value, list):
-        raise DocumentError(f"{where}: expected a list of strings")
-    return [_string(item, f"{where}[{i}]") for i, item in enumerate(value)]
+        kind = {_string: " of strings", _number: " of numbers"}.get(item, "")
+        raise DocumentError(f"{where}: expected a list{kind}")
+    return [item(entry, f"{where}[{i}]") for i, entry in enumerate(value)]
 
 
-def _number_list(value: Any, where: str) -> list[float]:
-    if not isinstance(value, list):
-        raise DocumentError(f"{where}: expected a list of numbers")
-    return [_number(item, f"{where}[{i}]") for i, item in enumerate(value)]
+_numbers = partial(_list, item=_number)
+
+
+def _build(where: str, make, *args):
+    """``make(*args)``, with a bad-data error re-raised as a ``DocumentError``."""
+    try:
+        return make(*args)
+    except (ExpressionError, FunctionalError, SymmetryError, TrajectoryError) as exc:
+        raise DocumentError(f"{where}: {exc}") from None
+
+
+_REQUIRED = ("order", "dim", "t1", "t2", "tau", "lagrangian", "prehistory", "terminal")
+_OPTIONAL = ("trajectory", "trajectories", "symmetry", "quadrature", "tolerances")
+_TOLERANCES = ("first_integral", "continuity", "gradient")
 
 
 def parse_document(doc: Any, where: str = "document") -> ProblemDocument:
-    if not isinstance(doc, Mapping):
-        raise DocumentError(f"{where}: expected a JSON object")
-    _require_keys(
-        doc,
-        allowed={
-            "order",
-            "dim",
-            "t1",
-            "t2",
-            "tau",
-            "lagrangian",
-            "prehistory",
-            "terminal",
-            "trajectory",
-            "trajectories",
-            "symmetry",
-            "quadrature",
-            "tolerances",
-        },
-        required={"order", "dim", "t1", "t2", "tau", "lagrangian", "prehistory", "terminal"},
-        where=where,
-    )
-
+    _object(doc, where, _REQUIRED + _OPTIONAL, _REQUIRED, "a JSON object")
     order = _integer(doc["order"], f"{where}.order")
     dim = _integer(doc["dim"], f"{where}.dim")
 
-    terminal = doc["terminal"]
-    if not isinstance(terminal, Mapping):
-        raise DocumentError(f"{where}.terminal: expected an object")
-    _require_keys(terminal, {"q", "derivatives"}, {"q"}, f"{where}.terminal")
-    terminal_q = _number_list(terminal["q"], f"{where}.terminal.q")
-    derivatives_raw = terminal.get("derivatives", [])
-    if not isinstance(derivatives_raw, list):
-        raise DocumentError(f"{where}.terminal.derivatives: expected a list")
-    terminal_derivs = [
-        _number_list(row, f"{where}.terminal.derivatives[{i}]")
-        for i, row in enumerate(derivatives_raw)
-    ]
+    at = f"{where}.terminal"
+    terminal = _object(doc["terminal"], at, ("q", "derivatives"), ("q",))
+    terminal_q = _numbers(terminal["q"], f"{at}.q")
+    derivatives = _list(terminal.get("derivatives", []), f"{at}.derivatives", _numbers)
+    problem = _build(
+        where,
+        Problem.from_sources,
+        order,
+        dim,
+        _number(doc["t1"], f"{where}.t1"),
+        _number(doc["t2"], f"{where}.t2"),
+        _number(doc["tau"], f"{where}.tau"),
+        _string(doc["lagrangian"], f"{where}.lagrangian"),
+        _list(doc["prehistory"], f"{where}.prehistory", _string),
+        terminal_q,
+        derivatives,
+    )
 
-    try:
-        problem = Problem.from_sources(
-            order,
-            dim,
-            _number(doc["t1"], f"{where}.t1"),
-            _number(doc["t2"], f"{where}.t2"),
-            _number(doc["tau"], f"{where}.tau"),
-            _string(doc["lagrangian"], f"{where}.lagrangian"),
-            _string_list(doc["prehistory"], f"{where}.prehistory"),
-            terminal_q,
-            terminal_derivs,
-        )
-    except (ExpressionError, FunctionalError) as exc:
-        raise DocumentError(f"{where}: {exc}") from None
-
-    tolerances = Tolerances()
-    if "tolerances" in doc:
-        tol_doc = doc["tolerances"]
-        if not isinstance(tol_doc, Mapping):
-            raise DocumentError(f"{where}.tolerances: expected an object")
-        _require_keys(
-            tol_doc,
-            {"first_integral", "continuity", "gradient"},
-            set(),
-            f"{where}.tolerances",
-        )
-        values = {}
-        for key in ("first_integral", "continuity", "gradient"):
-            if key in tol_doc:
-                value = _number(tol_doc[key], f"{where}.tolerances.{key}")
-                if value <= 0:
-                    raise DocumentError(
-                        f"{where}.tolerances.{key}: must be positive"
-                    )
-                values[key] = value
-        tolerances = Tolerances(**values)
+    at = f"{where}.tolerances"
+    tol_doc = _object(doc.get("tolerances", {}), at, _TOLERANCES)
+    values = {}
+    for key in _TOLERANCES:
+        if key in tol_doc:
+            values[key] = _number(tol_doc[key], f"{at}.{key}")
+            if values[key] <= 0:
+                raise DocumentError(f"{at}.{key}: must be positive")
+    tolerances = Tolerances(**values)
 
     quadrature = QuadratureSpec()
     if "quadrature" in doc:
-        quad_doc = doc["quadrature"]
-        if not isinstance(quad_doc, Mapping):
-            raise DocumentError(f"{where}.quadrature: expected an object")
-        _require_keys(quad_doc, {"gauss_points"}, {"gauss_points"}, f"{where}.quadrature")
-        try:
-            quadrature = QuadratureSpec(
-                _integer(quad_doc["gauss_points"], f"{where}.quadrature.gauss_points")
-            )
-        except FunctionalError as exc:
-            raise DocumentError(f"{where}.quadrature: {exc}") from None
+        at = f"{where}.quadrature"
+        quad_doc = _object(doc["quadrature"], at, ("gauss_points",), ("gauss_points",))
+        points = _integer(quad_doc["gauss_points"], f"{at}.gauss_points")
+        quadrature = _build(at, QuadratureSpec, points)
 
-    def build_trajectory(sub: Any, sub_where: str) -> PiecewiseTrajectory:
-        try:
-            traj = PiecewiseTrajectory.from_json_dict(
-                sub, order, continuity_tol=tolerances.continuity
-            )
-            problem.check_trajectory(traj)
-        except (TrajectoryError, FunctionalError) as exc:
-            raise DocumentError(f"{sub_where}: {exc}") from None
+    def trajectory(sub: Any) -> PiecewiseTrajectory:
+        traj = PiecewiseTrajectory.from_json_dict(
+            sub, order, continuity_tol=tolerances.continuity
+        )
+        problem.check_trajectory(traj)
         return traj
 
     default_trajectory = None
     if "trajectory" in doc:
-        default_trajectory = build_trajectory(doc["trajectory"], f"{where}.trajectory")
+        default_trajectory = _build(f"{where}.trajectory", trajectory, doc["trajectory"])
 
     trajectories: dict[str, PiecewiseTrajectory] = {}
-    if "trajectories" in doc:
-        variants = doc["trajectories"]
-        if not isinstance(variants, Mapping):
-            raise DocumentError(f"{where}.trajectories: expected an object")
-        for name, sub in variants.items():
-            trajectories[_string(name, f"{where}.trajectories key")] = build_trajectory(
-                sub, f"{where}.trajectories.{name}"
-            )
+    variants = _object(doc.get("trajectories", {}), f"{where}.trajectories")
+    for name, sub in variants.items():
+        # The variant is built before its name is checked.
+        trajectories[_string(name, f"{where}.trajectories key")] = _build(
+            f"{where}.trajectories.{name}", trajectory, sub
+        )
 
     symmetry = None
     if "symmetry" in doc:
-        sym_doc = doc["symmetry"]
-        if not isinstance(sym_doc, Mapping):
-            raise DocumentError(f"{where}.symmetry: expected an object")
-        _require_keys(sym_doc, {"eta", "xi", "gauge"}, {"eta", "xi"}, f"{where}.symmetry")
-        try:
-            symmetry = SymmetryCandidate.from_sources(
-                dim,
-                order,
-                _string(sym_doc["eta"], f"{where}.symmetry.eta"),
-                _string_list(sym_doc["xi"], f"{where}.symmetry.xi"),
-                _string(sym_doc.get("gauge", "0"), f"{where}.symmetry.gauge"),
-            )
-        except (ExpressionError, SymmetryError) as exc:
-            raise DocumentError(f"{where}.symmetry: {exc}") from None
+        at = f"{where}.symmetry"
+        sym_doc = _object(doc["symmetry"], at, ("eta", "xi", "gauge"), ("eta", "xi"))
+        symmetry = _build(
+            at,
+            SymmetryCandidate.from_sources,
+            dim,
+            order,
+            _string(sym_doc["eta"], f"{at}.eta"),
+            _list(sym_doc["xi"], f"{at}.xi", _string),
+            _string(sym_doc.get("gauge", "0"), f"{at}.gauge"),
+        )
 
     return ProblemDocument(
         problem=problem,

@@ -240,7 +240,7 @@ class Problem:
         return ex.evaluate(self.lagrangian, args.bindings())
 
     def bindings(
-        self, traj: PiecewiseTrajectory, ts, depth: int, side: str = "right"
+        self, traj: PiecewiseTrajectory, ts, depth: int, side="right"
     ) -> dict[str, np.ndarray]:
         """Arguments at the times ``ts`` as ``side`` limits, one array per
         name: t, q{i}_d{k} at ts and q{i}_d{k}_tau at ts - tau, k <= depth."""
@@ -362,7 +362,7 @@ def action(
 
     targets = [problem.terminal_position, *problem.terminal_derivatives]
     for i, target in enumerate(targets):
-        gap = float(np.max(np.abs(traj.eval_derivative(problem.t2, i, "left") - target)))
+        gap = float(np.max(np.abs(traj.eval([problem.t2], i, "left")[0] - target)))
         if gap > 1e-8:
             what = f"derivative {i}" if i else "position"
             warnings.append(f"terminal {what} misses target by {gap:.3e}")

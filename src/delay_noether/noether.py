@@ -232,6 +232,7 @@ def check_conservation(
     sym.check_against(problem)
     values = _charge(problem, sym, samples.at_samples)
     report = _analyze_samples("noether", "regional", samples, values, 0, tol)
-    left = noether_charge(problem, traj, sym, problem.junction, "left")
-    right = noether_charge(problem, traj, sym, problem.junction, "right")
+    junction = [problem.junction] * 2
+    args = _Arguments(problem, traj, junction, 2 * problem.order - 1, ("left", "right"))
+    left, right = _charge(problem, sym, args).tolist()
     return replace(report, junction_gap=abs(left - right))

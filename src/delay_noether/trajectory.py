@@ -46,10 +46,10 @@ def _horner(coeffs: np.ndarray, u: np.ndarray, k: int) -> np.ndarray:
     return result
 
 
-def locate(points: np.ndarray, ts, side: str, snap: float) -> np.ndarray:
+def locate(points: np.ndarray, ts, side, snap: float) -> np.ndarray:
     """Index j of the interval [points[j], points[j + 1]] whose ``side``
-    limit governs each t of ``ts``, for t in [points[0] - snap,
-    points[-1] + snap]; an array of the shape of ``ts``.
+    limit (one side, or one per t) governs each t of ``ts``, for t in
+    [points[0] - snap, points[-1] + snap]; an array of the shape of ``ts``.
 
     A t within ``snap`` of a point counts as that point; at the two ends
     only the inward limit exists.
@@ -60,7 +60,11 @@ def locate(points: np.ndarray, ts, side: str, snap: float) -> np.ndarray:
     below, above = points[np.maximum(i - 1, 0)], points[np.minimum(i, n - 1)]
     nearer_left = (i == n) | ((i > 0) & (ts - below <= above - ts))
     hit = np.where(nearer_left, i - 1, i)
-    snapped = np.minimum(hit, n - 2) if side == "right" else np.maximum(hit - 1, 0)
+    if isinstance(side, str):
+        snapped = np.minimum(hit, n - 2) if side == "right" else np.maximum(hit - 1, 0)
+    else:  # one side per t
+        left = np.asarray(side) == "left"
+        snapped = np.where(left, np.maximum(hit - 1, 0), np.minimum(hit, n - 2))
     return np.where(np.abs(points[hit] - ts) <= snap, snapped, i - 1)
 
 
@@ -156,11 +160,12 @@ class PiecewiseTrajectory:
         """Distance within which two times count as the same point."""
         return _SNAP_FRACTION * (self.breakpoints[-1] - self.breakpoints[0])
 
-    def segment_index(self, t, side: str = "right"):
+    def segment_index(self, t, side="right"):
         """Index of the interval whose polynomial governs the ``side`` limit
-        at t; an array of indices for an array t."""
-        if side not in ("left", "right"):
-            raise TrajectoryError(f"side must be 'left' or 'right', got {side!r}")
+        (one, or one per time) at t; an array of indices for an array t."""
+        for one in [side] if isinstance(side, str) else np.ravel(side).tolist():
+            if one not in ("left", "right"):
+                raise TrajectoryError(f"side must be 'left' or 'right', got {one!r}")
         bp, snap = self.breakpoints, self.snap
         ts = np.asarray(t, dtype=float)
         outside = ~((ts >= bp[0] - snap) & (ts <= bp[-1] + snap))
@@ -174,7 +179,7 @@ class PiecewiseTrajectory:
         j = self.segment_index(t, side)
         return float(self.breakpoints[j]), float(self.breakpoints[j + 1])
 
-    def eval(self, ts, k: int = 0, side: str = "right") -> np.ndarray:
+    def eval(self, ts, k: int = 0, side="right") -> np.ndarray:
         """k-th derivative at each of the times ``ts`` (1-D) as the one-sided
         limit ``side``, shape (len(ts), dim); zero above the degree of the
         governing segment."""
@@ -189,7 +194,7 @@ class PiecewiseTrajectory:
         return self.eval([t], k, side)[0]
 
     def bindings(
-        self, ts, depth: int, side: str = "right", delayed: bool = False
+        self, ts, depth: int, side="right", delayed: bool = False
     ) -> dict[str, np.ndarray]:
         """q{i}^(k)(t) for k = 0..depth at the times ``ts``, one array per
         canonical name (``q{i}_d{k}``, or ``q{i}_d{k}_tau`` when

@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 from delay_noether import (
     DomainError,
+    PiecewiseTrajectory,
     Problem,
     Samples,
     bundled_problem_path,
@@ -15,11 +17,21 @@ from delay_noether import (
     el_first_integral,
     load_document,
 )
-from delay_noether import cli, conditions, functional, noether
+from delay_noether import cli, conditions, functional, noether, trajectory
 from delay_noether.cli import main
 
 BUNDLE = str(bundled_problem_path())
 DATA = Path(__file__).parent / "data"
+
+
+def counting_into(calls, name, original):
+    """``original``, counting each call in ``calls[name]``."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
 
 
 def run(capsys, *argv):
@@ -281,17 +293,10 @@ class TestReport:
     def test_checks_share_one_set_up(self, capsys, monkeypatch):
         # One sample grid, one Gauss table cut at the samples (the action
         # builds its own) and one argument batch per point set, each with
-        # its batch at t + tau: 2 at the samples, 2 at the nodes, 2 for each
-        # one-sided charge at the junction and 1 for the action.
+        # its batch at t + tau: 2 at the samples, 2 at the nodes, 2 for the
+        # two one-sided charges at the junction and 1 for the action.
         calls = Counter()
-
-        def counting(name, original):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return counted
-
+        counting = functools.partial(counting_into, calls)
         originals = {
             "sample_times": conditions.sample_times,
             "gauss_nodes": functional.gauss_nodes,
@@ -305,7 +310,52 @@ class TestReport:
         assert code == 0
         assert calls["sample_times"] == 1
         assert calls["gauss_nodes"] == 2
-        assert calls["bindings"] <= 9
+        assert calls["bindings"] <= 7
+
+    def test_commands_never_reach_the_one_point_layer(self, capsys, monkeypatch):
+        # The one-point forms, the per-time charge and the invariance
+        # residual serve callers outside the commands, which run batched.
+        calls = Counter()
+        counting = functools.partial(counting_into, calls)
+        originals = {
+            "DelayedArgs": trajectory.DelayedArgs,
+            "delayed_args": trajectory.delayed_args,
+            "block_term": conditions.block_term,
+            "psi": conditions.psi,
+            "el_residual_differential": conditions.el_residual_differential,
+            "effective_segment": conditions.effective_segment,
+            "_point": noether._point,
+            "eta_value": noether.eta_value,
+            "xi_value": noether.xi_value,
+            "rho": noether.rho,
+            "noether_charge": noether.noether_charge,
+            "invariance_residual": noether.invariance_residual,
+        }
+        for module in (trajectory, functional, conditions, noether, cli):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        methods = {
+            PiecewiseTrajectory: ("eval_derivative", "segment_interval"),
+            Problem: ("args", "partial", "lagrangian_value", "prehistory_value"),
+        }
+        for owner, names in methods.items():
+            for name in names:
+                original = getattr(owner, name)
+                monkeypatch.setattr(owner, name, counting(name, original))
+        variants = ("el_only", "el_dbr")
+        checks = ("el", "el-integral", "dbr", "invariance", "noether")
+        commands = [
+            *(["report", BUNDLE, "--json", "--trajectory", v] for v in variants),
+            ["action", BUNDLE],
+            ["minimize", BUNDLE, "--h", "0.25"],
+            *(["check", which, BUNDLE] for which in checks),
+            ["check", "dbr", BUNDLE, "--from-solver", "--h", "0.25"],
+        ]
+        for argv in commands:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1), err
+        assert calls == Counter()
 
 
 class TestErrors:

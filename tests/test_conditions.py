@@ -112,6 +112,8 @@ class TestRegions:
         assert region_of(problem, 3.0) == 2
         assert region_of(problem, 2.0, side="left") == 1
         assert region_of(problem, 2.0, side="right") == 2
+        sides = ["left", "right", "right", "left"]
+        assert region_of(problem, [2.0, 2.0, 0.5, 2.5], sides).tolist() == [1, 2, 1, 2]
 
     def test_effective_segment(self, problem, traj_el_only):
         assert effective_segment(problem, traj_el_only, 0.5) == (0.0, 1.0)

@@ -38,6 +38,175 @@ def kinked_trajectory_doc():
     }
 
 
+def with_changes(*removed, **changes):
+    """``base_doc()`` without the keys ``removed`` and with ``changes``."""
+    doc = {**base_doc(), **changes}
+    for key in removed:
+        del doc[key]
+    return doc
+
+
+SHORT_TRAJECTORY = {"breakpoints": [0.0, 3.0], "segments": [[[0.0, 0.3]]]}
+
+# Each malformed document with the exact message it raises.  Where a
+# document has several faults, the message names the first one checked.
+MALFORMED = {
+    "top-level list": ([1], "document: expected a JSON object"),
+    "unknown before missing": (
+        with_changes("tau", extra=1),
+        "document: unknown keys: extra",
+    ),
+    "missing keys sorted": (
+        with_changes("tau", "t1"),
+        "document: missing keys: t1, tau",
+    ),
+    "order string": (with_changes(order="1"), "document.order: expected an integer, got '1'"),
+    "order bool": (with_changes(order=True), "document.order: expected an integer, got True"),
+    "dim float": (with_changes(dim=1.5), "document.dim: expected an integer, got 1.5"),
+    "terminal before t1": (
+        with_changes(t1="x", terminal={"q": ["a"]}),
+        "document.terminal.q[0]: expected a number, got 'a'",
+    ),
+    "terminal q not a list": (
+        with_changes(terminal={"q": 1}),
+        "document.terminal.q: expected a list of numbers",
+    ),
+    "terminal derivatives not a list": (
+        with_changes(terminal={"q": [1.0], "derivatives": 3}),
+        "document.terminal.derivatives: expected a list",
+    ),
+    "terminal derivative row": (
+        with_changes(terminal={"q": [1.0], "derivatives": [[0.0], "x"]}),
+        "document.terminal.derivatives[1]: expected a list of numbers",
+    ),
+    "terminal not an object": (
+        with_changes(terminal=[1.0]),
+        "document.terminal: expected an object",
+    ),
+    "terminal unknown key": (
+        with_changes(terminal={"q": [1.0], "speed": 0}),
+        "document.terminal: unknown keys: speed",
+    ),
+    "terminal missing q": (
+        with_changes(terminal={"derivatives": []}),
+        "document.terminal: missing keys: q",
+    ),
+    "prehistory not a list": (
+        with_changes(prehistory="-t"),
+        "document.prehistory: expected a list of strings",
+    ),
+    "prehistory item": (
+        with_changes(prehistory=["-t", 3]),
+        "document.prehistory[1]: expected a string, got 3",
+    ),
+    "lagrangian not a string": (
+        with_changes(lagrangian=5),
+        "document.lagrangian: expected a string, got 5",
+    ),
+    "quadrature before symmetry": (
+        with_changes(quadrature=3, symmetry=3),
+        "document.quadrature: expected an object",
+    ),
+    "tolerances before quadrature": (
+        with_changes(tolerances={"gradient": -1}, quadrature=3),
+        "document.tolerances.gradient: must be positive",
+    ),
+    "tolerances not an object": (
+        with_changes(tolerances=[1]),
+        "document.tolerances: expected an object",
+    ),
+    "tolerance not a number": (
+        with_changes(tolerances={"first_integral": "x"}),
+        "document.tolerances.first_integral: expected a number, got 'x'",
+    ),
+    "tolerances unknown key": (
+        with_changes(tolerances={"fit": 1}),
+        "document.tolerances: unknown keys: fit",
+    ),
+    "trajectories not an object": (
+        with_changes(trajectories=[1]),
+        "document.trajectories: expected an object",
+    ),
+    "trajectories key not a string": (
+        with_changes(trajectories={1: kinked_trajectory_doc()}),
+        "document.trajectories key: expected a string, got 1",
+    ),
+    "trajectory before its key": (
+        with_changes(trajectories={1: SHORT_TRAJECTORY}),
+        "document.trajectories.1: trajectory domain [0.0, 3.0] does not match [-1.0, 3.0]",
+    ),
+    "symmetry xi not a list": (
+        with_changes(symmetry={"eta": "1", "xi": "q0"}),
+        "document.symmetry.xi: expected a list of strings",
+    ),
+    "symmetry missing xi": (
+        with_changes(symmetry={"eta": "1"}),
+        "document.symmetry: missing keys: xi",
+    ),
+    "symmetry unknown key": (
+        with_changes(symmetry={"eta": "1", "xi": ["0"], "extra": 1}),
+        "document.symmetry: unknown keys: extra",
+    ),
+    "symmetry gauge not a string": (
+        with_changes(symmetry={"eta": "1", "xi": ["0"], "gauge": 0}),
+        "document.symmetry.gauge: expected a string, got 0",
+    ),
+    "quadrature unknown key": (
+        with_changes(quadrature={"points": 4}),
+        "document.quadrature: unknown keys: points",
+    ),
+    "quadrature missing key": (
+        with_changes(quadrature={}),
+        "document.quadrature: missing keys: gauss_points",
+    ),
+    "gauss points not an integer": (
+        with_changes(quadrature={"gauss_points": 2.0}),
+        "document.quadrature.gauss_points: expected an integer, got 2.0",
+    ),
+    # Errors of the package's own constructors, prefixed with the block.
+    "wrapped problem data": (with_changes(tau=5.0), "document: need 0 < tau < t2 - t1"),
+    "wrapped problem expression": (
+        with_changes(lagrangian="(q0_d1"),
+        "document: expected ')' (offset 6)",
+    ),
+    "wrapped problem terminal": (
+        with_changes(terminal={"q": [1.0, 2.0]}),
+        "document: terminal position must have 1 entries",
+    ),
+    "wrapped quadrature": (
+        with_changes(quadrature={"gauss_points": 0}),
+        "document.quadrature: gauss_points must be in 1..128",
+    ),
+    "wrapped variant": (
+        with_changes(trajectories={"bad": SHORT_TRAJECTORY}),
+        "document.trajectories.bad: trajectory domain [0.0, 3.0] does not match [-1.0, 3.0]",
+    ),
+    "wrapped default trajectory": (
+        with_changes(trajectory={**kinked_trajectory_doc(), "label": "x"}),
+        "document.trajectory: unknown trajectory keys: label",
+    ),
+    "wrapped trajectory shape": (
+        with_changes(trajectory=[1]),
+        "document.trajectory: trajectory document must be an object",
+    ),
+    "wrapped symmetry vocabulary": (
+        with_changes(symmetry={"eta": "q0_d1", "xi": ["0"]}),
+        "document.symmetry: eta uses variables outside its vocabulary: q0_d1",
+    ),
+    "wrapped symmetry size": (
+        with_changes(symmetry={"eta": "1", "xi": ["0", "0"]}),
+        "document.symmetry: xi needs 1 component(s)",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_raise_their_exact_message(doc, message):
+    with pytest.raises(DocumentError) as raised:
+        parse_document(doc)
+    assert str(raised.value) == message
+
+
 class TestBundledDocument:
     def test_path_exists(self):
         assert bundled_problem_path().is_file()

@@ -108,6 +108,14 @@ class TestEvaluation:
             [2.0]
         )
 
+    def test_one_side_per_time(self, traj_el_only):
+        ts = [-1.0, 0.0, 2.0, 2.0, 2.0 + 1e-13, 3.0]
+        sides = ["left", "right", "left", "right", "left", "right"]
+        rows = [traj_el_only.eval([t], 1, side)[0] for t, side in zip(ts, sides)]
+        assert np.array_equal(traj_el_only.eval(ts, 1, sides), rows)
+        with pytest.raises(TrajectoryError, match="got 'middle'"):
+            traj_el_only.eval(ts, 1, [*sides[:-1], "middle"])
+
     def test_domain_endpoints_fall_back_to_the_inner_limit(self, traj_el_only):
         assert traj_el_only.eval_derivative(-1.0, 1, side="left") == pytest.approx(
             [-1.0]
